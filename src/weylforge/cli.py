@@ -39,6 +39,18 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def _parse_optional(self, arg_string):
+        # argparse reads every token led by a single "-" as an option
+        # unless it looks like a negative number; one that names no option
+        # here is an expression such as -q*p or -3*q2^3, so a value.
+        if (
+            arg_string[:1] == "-"
+            and arg_string[1:2] not in ("", "-")
+            and arg_string not in self._option_string_actions
+        ):
+            return None
+        return super()._parse_optional(arg_string)
+
 
 def _add_common_flags(parser):
     parser.add_argument("--dof", type=int, default=1, help="degrees of freedom")

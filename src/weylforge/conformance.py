@@ -10,6 +10,7 @@ Runners return (ok, witness): witness is a short rendered text fragment
 pinpointing the first failure, None when the check passes.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from .dynamics import (
     observable_rhs,
     pmb_flow_series,
 )
-from .operators import OpPoly, commutator, t_monomial, to_t_basis
+from .operators import OpPoly, OpWord, commutator, normalize, t_monomial, to_t_basis
 from .phase import (
     PhasePoly,
     classical_limit_bracket,
@@ -123,6 +124,20 @@ def _run_t_on_identity(rng):
     return True, None
 
 
+def _split_average(lead, count, inner, left, right):
+    """Normalized average of the words lead^j inner lead^(count-j).
+
+    lead is one generator kind, split around the word inner (a list of
+    letters); word j weighs 2^-count C(count,j) left^j right^(count-j).
+    """
+    total = OpPoly.zero()
+    for j in range(count + 1):
+        weight = Fraction(math.comb(count, j), 2**count) * left**j * right ** (count - j)
+        letters = [(lead, 0)] * j + inner + [(lead, 0)] * (count - j)
+        total = total + normalize(OpWord(letters), weight)
+    return total
+
+
 @_register(
     "t-form-agreement",
     "7",
@@ -131,12 +146,19 @@ def _run_t_on_identity(rng):
     {"max_exponent": 4},
 )
 def _run_t_form_agreement(rng):
+    # Both forms return the closed form, so each is held against its own
+    # binomial average of normalized words rather than against the other.
+    plus = ONE + S
+    minus = ONE - S
     for n in range(5):
         for m in range(5):
-            q_form = t_monomial(n, m, form="q")
-            p_form = t_monomial(n, m, form="p")
-            if q_form != p_form:
-                return False, _mismatch(f"({n},{m})", q_form, p_form)
+            for form, want in (
+                ("q", _split_average("q", n, [("p", 0)] * m, plus, minus)),
+                ("p", _split_average("p", m, [("q", 0)] * n, minus, plus)),
+            ):
+                got = t_monomial(n, m, form=form)
+                if got != want:
+                    return False, _mismatch(f"({n},{m}) {form} form", got, want)
     return True, None
 
 

@@ -2,25 +2,30 @@
 
 The basis is the normal-ordered monomial family: per degree of freedom,
 all position factors stand left of all momentum factors, and degrees of
-freedom appear in index order.  Everything reduces to that basis through
-the single rewrite
+freedom appear in index order.  Generators of distinct degrees of
+freedom commute outright; within one, ph*qh = qh*ph - i*hbar sums to
+the closed reordering identity
 
-    ph*qh  ->  qh*ph - i*hbar
+    ph^m qh^n = sum_k k! C(m,k) C(n,k) (-i*hbar)^k  qh^(n-k) ph^(m-k),
 
-applied per degree of freedom; generators of distinct degrees of freedom
-commute outright.  Coefficients are exact (see scalars).
+min(m, n) + 1 terms, through which every product, adjoint and word is
+brought to normal form.  Coefficients are exact (see scalars).
 
 The module also provides the one-parameter family of ordered monomials
 interpolating between the standard (all positions left), antistandard,
-and symmetric arrangements, together with the change of basis in both
-directions.
+and symmetric arrangements, in the closed form
+
+    t(n, m) = sum_k k! C(n,k) C(m,k) ((1-s)/2)^k (-i*hbar)^k  qh^(n-k) ph^(m-k),
+
+together with the change of basis in both directions.
 """
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
-from .scalars import GaussianRational, Scalar, ONE, S
+from .scalars import GaussianRational, Scalar, ONE
 
 __all__ = [
     "OpPoly",
@@ -31,42 +36,35 @@ __all__ = [
     "to_t_basis",
 ]
 
-_MINUS_I_HBAR = Scalar.term(1, 0, GaussianRational(0, -1))
-_ONE_PLUS_S = ONE + S
-_ONE_MINUS_S = ONE - S
+# (-i)^k by k mod 4.
+_MINUS_I_POWERS = (
+    GaussianRational(1),
+    GaussianRational(0, -1),
+    GaussianRational(-1),
+    GaussianRational(0, 1),
+)
 
 
-@functools.cache
-def _kinds_normal(kinds):
-    """Normal form of a one-dof generator word.
-
-    kinds is a tuple over {0, 1} (0 position, 1 momentum) read left to
-    right as a product.  The first out-of-order adjacent pair is rewritten
-    as a swap plus a shortened word weighted by -i*hbar, recursively.
-    Returns {(n, m): Scalar}; callers must treat the dict as frozen.
-    """
-    for i in range(len(kinds) - 1):
-        if kinds[i] > kinds[i + 1]:
-            swapped = kinds[:i] + (0, 1) + kinds[i + 2:]
-            dropped = kinds[:i] + kinds[i + 2:]
-            out = dict(_kinds_normal(swapped))
-            for key, coeff in _kinds_normal(dropped).items():
-                extra = coeff * _MINUS_I_HBAR
-                got = out.get(key)
-                total = extra if got is None else got + extra
-                if total:
-                    out[key] = total
-                elif got is not None:
-                    del out[key]
-            return out
-    m = sum(kinds)
-    return {(len(kinds) - m, m): ONE}
+def _reorder_weight(k, m, n):
+    """k! C(m,k) C(n,k): the k-th weight of ph^m qh^n, less (-i*hbar)^k."""
+    return math.factorial(k) * math.comb(m, k) * math.comb(n, k)
 
 
 @functools.cache
 def _dof_pair(n1, m1, n2, m2):
-    """Normal form of (qh^n1 ph^m1)(qh^n2 ph^m2) within one dof."""
-    return _kinds_normal((0,) * n1 + (1,) * m1 + (0,) * n2 + (1,) * m2)
+    """Normal form of (qh^n1 ph^m1)(qh^n2 ph^m2) within one dof.
+
+    The inner ph^m1 qh^n2 is reordered by the closed form, so the result
+    has min(m1, n2) + 1 terms:
+        sum_k k! C(m1,k) C(n2,k) (-i*hbar)^k  qh^(n1+n2-k) ph^(m1+m2-k).
+    Returns {(n, m): Scalar}; callers must treat the dict as frozen.
+    """
+    return {
+        (n1 + n2 - k, m1 + m2 - k): Scalar._raw(
+            {(k, 0): _MINUS_I_POWERS[k % 4] * _reorder_weight(k, m1, n2)}
+        )
+        for k in range(min(m1, n2) + 1)
+    }
 
 
 def _combine_dof(partial, factor):
@@ -338,24 +336,25 @@ class OpWord:
 def normalize(word, coeff=ONE):
     """Rewrite a free word into canonical normal form, scaled by coeff.
 
-    Cross-dof swaps are free, so each dof's subsequence is normalized
-    independently and the results are recombined.
+    An iterative left fold over the maximal runs of one repeated letter:
+    each run qh_i^r or ph_i^r multiplies the normal form so far from the
+    right, and every product is closed form (see _dof_pair).  For a single
+    letter that is the rule
+        qh^a ph^b * qh = qh^(a+1) ph^b - i*hbar*b qh^a ph^(b-1),
+        qh^a ph^b * ph = qh^a ph^(b+1),
+    while letters of distinct degrees of freedom commute.
     """
     coeff = _coerce_coeff(coeff)
     if coeff is None:
         raise TypeError("coeff must be a Scalar")
-    per_dof = [[] for _ in range(word.dof_count)]
-    for kind, index in word.letters:
-        per_dof[index].append(0 if kind == "q" else 1)
-    partial = {(): ONE}
-    for kinds in per_dof:
-        partial = _combine_dof(partial, _kinds_normal(tuple(kinds)))
-    out = {}
-    for key, factor in partial.items():
-        total = coeff * factor
-        if total:
-            out[key] = total
-    return OpPoly._raw(word.dof_count, out)
+    dof_count = word.dof_count
+    out = OpPoly.identity(dof_count) * coeff
+    for (kind, index), run in itertools.groupby(word.letters):
+        length = sum(1 for _ in run)
+        block = (length, 0) if kind == "q" else (0, length)
+        key = tuple(block if i == index else (0, 0) for i in range(dof_count))
+        out = out * OpPoly._raw(dof_count, {key: ONE})
+    return out
 
 
 def commutator(left, right):
@@ -373,46 +372,30 @@ def _exp_vector(value):
     return out
 
 
-@functools.cache
-def _t_single(n, m, form):
+def _t_single(n, m):
     """One-dof ordered monomial as {(a, b): Scalar}, formal parameter.
 
-    q form averages over positions of the position block:
+    The position-led binomial average
         2^-n sum_j C(n,j) (1+s)^j (1-s)^(n-j)  qh^j ph^m qh^(n-j)
-    p form is the momentum-sided mirror; both normalize identically,
-    which the test suite checks rather than assumes.
+    and its momentum-led mirror both collapse, through
+        sum_j C(n,j) C(n-j,k) (1+s)^j (1-s)^(n-j) = 2^(n-k) C(n,k) (1-s)^k,
+    to min(n, m) + 1 terms:
+        sum_k k! C(n,k) C(m,k) ((1-s)/2)^k (-i*hbar)^k  qh^(n-k) ph^(m-k).
     """
     out = {}
-    if form == "q":
-        for j in range(n + 1):
-            weight = (
-                Fraction(math.comb(n, j), 2**n)
-                * _ONE_PLUS_S**j
-                * _ONE_MINUS_S ** (n - j)
-            )
-            word = (0,) * j + (1,) * m + (0,) * (n - j)
-            for key, factor in _kinds_normal(word).items():
-                _accumulate(out, key, weight * factor)
-    elif form == "p":
-        for k in range(m + 1):
-            weight = (
-                Fraction(math.comb(m, k), 2**m)
-                * _ONE_MINUS_S**k
-                * _ONE_PLUS_S ** (m - k)
-            )
-            word = (1,) * k + (0,) * n + (1,) * (m - k)
-            for key, factor in _kinds_normal(word).items():
-                _accumulate(out, key, weight * factor)
-    else:
-        raise ValueError(f"form must be 'q' or 'p', got {form!r}")
+    for k in range(min(n, m) + 1):
+        weight = _MINUS_I_POWERS[k % 4] * Fraction(_reorder_weight(k, m, n), 2**k)
+        out[(n - k, m - k)] = Scalar._raw(
+            {(k, j): weight * ((-1) ** j * math.comb(k, j)) for j in range(k + 1)}
+        )
     return out
 
 
 @functools.cache
-def _t_multi(n_vector, m_vector, form):
+def _t_multi(n_vector, m_vector):
     partial = {(): ONE}
     for n, m in zip(n_vector, m_vector):
-        partial = _combine_dof(partial, _t_single(n, m, form))
+        partial = _combine_dof(partial, _t_single(n, m))
     return OpPoly._raw(len(n_vector), dict(partial))
 
 
@@ -422,13 +405,17 @@ def t_monomial(n, m, form="q", s_value=None):
     n and m are ints (one dof) or equal-length sequences (one entry per
     dof).  s_value, when given, substitutes a numeric value for the
     ordering parameter in the result; the construction itself is always
-    formal, so substitution commutes with every identity.
+    formal, so substitution commutes with every identity.  form names
+    the position-led ("q") or momentum-led ("p") binomial average the
+    monomial is defined by; both are the same operator.
     """
+    if form not in ("q", "p"):
+        raise ValueError(f"form must be 'q' or 'p', got {form!r}")
     n_vector = _exp_vector(n)
     m_vector = _exp_vector(m)
     if len(n_vector) != len(m_vector):
         raise ValueError("n and m must cover the same dofs")
-    out = _t_multi(n_vector, m_vector, form)
+    out = _t_multi(n_vector, m_vector)
     if s_value is not None:
         out = out.substitute(s_value=s_value)
     return out
@@ -437,7 +424,7 @@ def t_monomial(n, m, form="q", s_value=None):
 def _t_for_key(key):
     n_vector = tuple(n for n, _ in key)
     m_vector = tuple(m for _, m in key)
-    return _t_multi(n_vector, m_vector, "q")
+    return _t_multi(n_vector, m_vector)
 
 
 def to_t_basis(operator, s_value=None):

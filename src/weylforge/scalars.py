@@ -69,6 +69,9 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
+        # Equal to a plain rational when real, so it must hash like one.
+        if not self.im:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __add__(self, other):
@@ -210,6 +213,13 @@ class Scalar:
         return self._terms == other._terms
 
     def __hash__(self):
+        # A constant equals its coefficient (and zero equals 0), so it
+        # must hash like one.
+        if not self._terms:
+            return hash(0)
+        constant = self._terms.get((0, 0))
+        if constant is not None and len(self._terms) == 1:
+            return hash(constant)
         return hash(tuple(self.sorted_terms()))
 
     def __add__(self, other):

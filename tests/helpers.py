@@ -3,8 +3,9 @@
 Both reorderers here are written from scratch against the single
 rewrite rule ph*qh = qh*ph - i*hbar and deliberately share no code with
 the package: the random-order oracle picks WHICH out-of-order pair to
-rewrite at random (the library always reduces the leftmost), so
-agreement across many draws is evidence the normal form is unique.
+rewrite at random (the library folds words left to right through the
+closed reordering identity), so agreement across many draws is evidence
+the normal form is unique.
 """
 
 import math
@@ -82,6 +83,29 @@ def closed_form_reorder(n, m):
         )
         out = out + OpPoly.monomial([(n - k, m - k)], coeff)
     return out
+
+
+def oracle_t_averages(n, m, rng):
+    """The two binomial averages defining t(n, m), via oracle_normalize.
+
+    Position-led: 2^-n sum_j C(n,j) (1+s)^j (1-s)^(n-j)  qh^j ph^m qh^(n-j).
+    Momentum-led: 2^-m sum_k C(m,k) (1-s)^k (1+s)^(m-k)  ph^k qh^n ph^(m-k).
+    Returns (position_led, momentum_led) as one-dof OpPolys.
+    """
+    plus = Scalar.constant(1) + Scalar.term(0, 1)
+    minus = Scalar.constant(1) - Scalar.term(0, 1)
+    q, p = ("q", 0), ("p", 0)
+    position_led = OpPoly.zero(1)
+    for j in range(n + 1):
+        weight = plus**j * minus ** (n - j) * Fraction(math.comb(n, j), 2**n)
+        letters = [q] * j + [p] * m + [q] * (n - j)
+        position_led = position_led + oracle_normalize(letters, rng, weight)
+    momentum_led = OpPoly.zero(1)
+    for k in range(m + 1):
+        weight = minus**k * plus ** (m - k) * Fraction(math.comb(m, k), 2**m)
+        letters = [p] * k + [q] * n + [p] * (m - k)
+        momentum_led = momentum_led + oracle_normalize(letters, rng, weight)
+    return position_led, momentum_led
 
 
 def random_letters(rng, length, dof_count=1):

@@ -333,3 +333,24 @@ class TestCli:
         code, out = run_command(["eval", "q*p", "--format", "json"])
         assert code == 0
         assert json.loads(out)["kind"] == "phase_poly"
+
+    def test_leading_minus_expression_is_a_value(self):
+        assert run_command(["eval", "-q*p"]) == (0, "-q*p")
+        assert run_command(["eval", "-hbar*q", "--format", "latex"]) == (
+            run_command(["eval", "--format", "latex", "--", "-hbar*q"])
+        )
+        flow = ["--hamiltonian", "(p1^2+p2^2)/2", "--order", "2"]
+        split = run_command(["evolve", "--observable", "-3*q2^3"] + flow)
+        joined = run_command(["evolve", "--observable=-3*q2^3"] + flow)
+        assert split == joined
+        assert split[0] == 0
+
+    def test_leading_minus_leaves_flags_alone(self, capsys):
+        code, out = run_command(["eval", "q", "--bogus"])
+        assert code == 2 and "unrecognized arguments: --bogus" in out
+        code, out = run_command(["evolve", "--observable", "-h"])
+        assert code == 2 and "expected one argument" in out
+        assert run_command(["eval", "-h"]) == (0, "")
+        assert "usage:" in capsys.readouterr().out
+        code, out = run_command(["t", "-1", "2"])
+        assert (code, out) == (2, "usage error: exponents must be nonnegative")

@@ -19,9 +19,16 @@ from weylforge import (
     t_monomial,
     to_t_basis,
 )
+from weylforge.cli import run_command
+from weylforge.render import render
 from weylforge.sampling import random_op_poly
 
-from helpers import closed_form_reorder, oracle_normalize, random_letters
+from helpers import (
+    closed_form_reorder,
+    oracle_normalize,
+    oracle_t_averages,
+    random_letters,
+)
 
 QH = OpPoly.generator("q")
 PH = OpPoly.generator("p")
@@ -50,11 +57,12 @@ class TestNormalForm:
         assert normalize(word("ppqq")) == expected
 
     def test_matches_random_order_oracle(self):
-        """The rewrite system is confluent.
+        """The normal form does not depend on the rewrite order.
 
-        The library rewrites the leftmost inversion; the oracle picks a
-        random one each step.  Same normal form either way, over many
-        words, is the point of having a canonical basis at all.
+        The library folds the word left to right through the closed
+        reordering identity; the oracle rewrites a random inversion each
+        step.  Same normal form either way, over many words, is the point
+        of having a canonical basis at all.
         """
         rng = random.Random(404)
         for _ in range(150):
@@ -140,9 +148,18 @@ class TestOrderedMonomials:
         assert t11 * t11 == expected
 
     def test_q_and_p_forms_agree(self):
+        # Each form must equal its own defining binomial average, rewritten
+        # word by word by the random-order oracle, not merely the other form.
+        rng = random.Random(506)
         for n in range(4):
             for m in range(4):
-                assert t_monomial(n, m, form="q") == t_monomial(n, m, form="p")
+                position_led, momentum_led = oracle_t_averages(n, m, rng)
+                assert t_monomial(n, m, form="q") == position_led
+                assert t_monomial(n, m, form="p") == momentum_led
+
+    def test_unknown_form_rejected(self):
+        with pytest.raises(ValueError):
+            t_monomial(1, 1, form="x")
 
     def test_multi_dof_factorizes(self):
         one = t_monomial(2, 1)
@@ -275,3 +292,38 @@ class TestOpPolyBasics:
     def test_substitute_hbar(self):
         F = OpPoly.monomial([(1, 1)]) * HBAR
         assert F.substitute(hbar_value=2) == OpPoly.monomial([(1, 1)]) * 2
+
+
+def _sandwich(t):
+    """t(n+1, m+1) from t(n, m) by the four-term sandwich recursion."""
+    return (
+        (QH * PH * t + t * PH * QH) * (ONE - S * S)
+        + QH * t * PH * ((ONE + S) * (ONE + S))
+        + PH * t * QH * ((ONE - S) * (ONE - S))
+    ) * Fraction(1, 4)
+
+
+def _nested(depth, fn):
+    return fn() if depth == 0 else _nested(depth - 1, fn)
+
+
+class TestHighDegree:
+    """Degrees at which a recursive word rewriter ran out of stack."""
+
+    def test_cli_t_30_30_matches_sandwich_from_oracle(self):
+        code, out = run_command(["t", "30", "30"])
+        assert code == 0
+        built, _ = oracle_t_averages(2, 2, random.Random(808))
+        for _ in range(28):
+            built = _sandwich(built)
+        assert out == render(built, "text")
+
+    def test_t_monomial_from_nested_frames(self):
+        got = _nested(50, lambda: t_monomial(22, 22))
+        assert got.total_degree() == 44
+        assert len(got.items()) == 23
+
+    def test_normalize_long_word(self):
+        m, n = 1900, 100
+        got = normalize(OpWord([("p", 0)] * m + [("q", 0)] * n))
+        assert got == closed_form_reorder(n, m)

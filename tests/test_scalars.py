@@ -74,6 +74,13 @@ class TestGaussianRational:
     def test_powers(self, base, exp, expected):
         assert base**exp == expected
 
+    def test_hash_agrees_with_eq_on_rationals(self):
+        for value in (0, 1, -3, Fraction(1, 2)):
+            g = GaussianRational(value)
+            assert g == value and hash(g) == hash(value)
+            assert len({g, value}) == 1
+        assert hash(GaussianRational(1, 2)) == hash(GaussianRational(1, 2))
+
 
 class TestScalarRing:
     def test_ring_axioms(self):
@@ -100,6 +107,14 @@ class TestScalarRing:
         assert Scalar.constant(2) * 3 == Scalar.constant(6)
         assert 3 * Scalar.constant(2) == Scalar.constant(6)
         assert HBAR * Fraction(1, 2) == Scalar.term(1, 0, Fraction(1, 2))
+
+    def test_hash_agrees_with_eq_on_constants(self):
+        for value in (0, 1, -3, Fraction(1, 2), GaussianRational(1, 2)):
+            c = Scalar.constant(value)
+            assert c == value and hash(c) == hash(value)
+            assert len({c, value}) == 1
+        assert hash(ZERO) == hash(0)
+        assert hash(HBAR + 1) == hash(1 + HBAR)
 
     def test_i_over_hbar_constants(self):
         # 1/(i*hbar) = -i/hbar; the two names must stay opposites.
