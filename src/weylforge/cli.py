@@ -16,11 +16,12 @@ import os
 import sys
 
 from .conformance import SUITES, run_suite
-from .dynamics import FlowSeries, classical_flow_series, pmb_flow_series
+from .dynamics import FlowSeries
 from .expressions import (
     ExprError,
     ExprSyntaxError,
     evaluate,
+    evolve_series,
     max_dof_index,
     parse,
 )
@@ -104,14 +105,12 @@ def _parse_s_value(text):
         raise UsageError(f"bad --s-value: {error}") from error
     if kind != "scalar":
         raise UsageError("--s-value must be a scalar constant")
-    terms = value.sorted_terms()
-    if not terms:
-        return 0
-    if len(terms) == 1 and terms[0][0] == (0, 0):
-        return terms[0][1]
-    raise UsageError(
-        "--s-value must be free of the formal parameters and variables"
-    )
+    constant = value.as_constant()
+    if constant is None:
+        raise UsageError(
+            "--s-value must be free of the formal parameters and variables"
+        )
+    return constant
 
 
 def _substitute(value, s_value):
@@ -137,14 +136,6 @@ def _seed(args):
 def _require_positive_dof(args):
     if args.dof < 1:
         raise UsageError("--dof must be at least 1")
-
-
-def _to_phase_value(kind, value, dof_count):
-    if kind == "phase":
-        return value
-    if kind == "scalar":
-        return PhasePoly.constant(value, dof_count)
-    raise UsageError("the hamiltonian must be commutative")
 
 
 def _dispatch(args):
@@ -180,14 +171,9 @@ def _dispatch(args):
     )
     if args.order < 0:
         raise UsageError("--order must be nonnegative")
-    h_kind, h_value = evaluate(hamiltonian_tree, dof_count)
-    hamiltonian = _to_phase_value(h_kind, h_value, dof_count)
-    o_kind, o_value = evaluate(observable_tree, dof_count)
-    if o_kind == "op":
-        series = pmb_flow_series(o_value, hamiltonian, args.order)
-    else:
-        observable = _to_phase_value(o_kind, o_value, dof_count)
-        series = classical_flow_series(observable, hamiltonian, args.order)
+    hamiltonian = evaluate(hamiltonian_tree, dof_count)
+    observable = evaluate(observable_tree, dof_count)
+    series = evolve_series(observable, hamiltonian, args.order, dof_count)
     return 0, render(_substitute(series, s_value), args.format)
 
 

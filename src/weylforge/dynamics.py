@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from .operators import OpPoly, commutator
 from .phase import PhasePoly, poisson_bracket
-from .scalars import I_OVER_HBAR, NEG_I_OVER_HBAR, NegativeHbarPower
-from .superops import Liouvillian, ad_apply, liouvillian_apply
+from .scalars import NEG_I_OVER_HBAR, NegativeHbarPower
+from .superops import _pmb_impl, liouvillian_apply
 from .wwgm import ms
 
 __all__ = [
@@ -111,42 +111,19 @@ def hamilton_rhs(H, dof_index=0):
     return _assert_hbar_clean(qdot), _assert_hbar_clean(pdot)
 
 
-def _pmb_with_hamiltonian(H):
-    """Bracket with ms(H) in the first slot, as a reusable closure.
-
-    The derivative Liouvillians of H are fixed along a flow, so build
-    them once.  This is the variant-4 expression of superops.pmb; the
-    pullback of the second argument is never needed.
-    """
-    dof = H.dof_count
-    h_q = [Liouvillian(H.derivative("q", i)) for i in range(dof)]
-    h_p = [Liouvillian(H.derivative("p", i)) for i in range(dof)]
-
-    def ad_h(F):
-        out = OpPoly.zero(dof)
-        for i in range(dof):
-            out = out + h_q[i](ad_apply(("q", i), F))
-            out = out + h_p[i](ad_apply(("p", i), F))
-        return _assert_hbar_clean(out * I_OVER_HBAR)
-
-    return ad_h
-
-
 def pmb_flow_series(F0, H, order):
     """Truncated operator flow generated by bracketing with ms(H).
 
     coefficient k = (1/k!) (ad_H)^k F0, where ad_H is the pmb bracket
-    with the Hamiltonian in the first slot.
+    with ms(H) in the first slot.  It is taken in variant 4 with H as the
+    known pullback of that slot, so no operator is ever pulled back.
     """
-    if H.dof_count != F0.dof_count:
-        raise ValueError(
-            f"dof_count mismatch: {F0.dof_count} vs {H.dof_count}"
-        )
-    ad_h = _pmb_with_hamiltonian(H)
+    F0._check_dof(H)
+    H_op = ms(H)
     coefficients = [F0]
     current = F0
     for k in range(1, order + 1):
-        current = ad_h(current)
+        current = _pmb_impl(H_op, current, H, None, 4)
         coefficients.append(current * Fraction(1, math.factorial(k)))
     return FlowSeries(order, coefficients)
 
@@ -189,10 +166,9 @@ def _split_mechanical(H):
     values = set(kinetic.values())
     if len(values) > 1:
         raise ValueError("kinetic coefficients differ between dofs")
-    terms = values.pop().sorted_terms()
-    if len(terms) != 1 or terms[0][0] != (0, 0):
+    gaussian = values.pop().as_constant()
+    if gaussian is None:
         raise ValueError("kinetic coefficient must be a plain constant")
-    gaussian = terms[0][1]
     if gaussian.im != 0 or gaussian.re <= 0:
         raise ValueError("kinetic coefficient must be a positive rational")
     mass = 1 / (2 * gaussian.re)

@@ -56,6 +56,13 @@ _CALLS = {
 
 _VAR_RE = re.compile(r"(qh|ph|q|p)([0-9]+)?")
 
+# Deepest parenthesis or call nesting parse accepts.  Parsing and
+# evaluation recurse a few frames per level, so the limit keeps deep input
+# well clear of the interpreter's recursion limit.
+_MAX_NESTING = 100
+
+_CHAINS = ("add", "sub", "mul")
+
 
 class ExprError(ValueError):
     """Base for everything the expression layer can reject."""
@@ -107,6 +114,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -121,6 +129,13 @@ class _Parser:
         if token[0] != kind:
             raise ExprSyntaxError(f"expected {what}", token[2])
         return self.advance()
+
+    def enter(self, column):
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ExprSyntaxError(
+                f"nesting deeper than {_MAX_NESTING} levels", column
+            )
 
     def parse_expr(self):
         negate = False
@@ -163,8 +178,10 @@ class _Parser:
         if kind == "uint":
             return ("num", Fraction(value))
         if kind == "(":
+            self.enter(column)
             node = self.parse_expr()
             self.expect(")", "a closing parenthesis")
+            self.depth -= 1
             return node
         if kind == "ident":
             if self.peek()[0] == "(":
@@ -189,12 +206,13 @@ class _Parser:
     def parse_call(self, name, column):
         if name not in _CALLS:
             raise ExprSyntaxError(f"unknown function {name!r}", column)
-        self.expect("(", "an opening parenthesis")
+        self.enter(self.expect("(", "an opening parenthesis")[2])
         arguments = [self.parse_expr()]
         while self.peek()[0] == ",":
             self.advance()
             arguments.append(self.parse_expr())
         self.expect(")", "a closing parenthesis")
+        self.depth -= 1
         arity = _CALLS[name]
         allowed = arity if isinstance(arity, tuple) else (arity,)
         if len(arguments) not in allowed:
@@ -214,18 +232,33 @@ def parse(text):
     return node
 
 
+def _chain(node):
+    """Unwind a left-deep +/-/* chain without recursion.
+
+    Returns the leftmost operand and the (head, right operand) steps that
+    fold onto it, innermost first.  parse builds flat sums and products
+    as such chains, one level per operand.
+    """
+    steps = []
+    while node[0] in _CHAINS:
+        steps.append((node[0], node[2]))
+        node = node[1]
+    steps.reverse()
+    return node, steps
+
+
 def max_dof_index(node):
     """Largest explicit 1-based dof index in the tree (0 when none)."""
+    node, steps = _chain(node)
+    found = max((max_dof_index(right) for _head, right in steps), default=0)
     head = node[0]
     if head == "var":
-        return node[2] or 1
-    if head in ("add", "sub", "mul"):
-        return max(max_dof_index(node[1]), max_dof_index(node[2]))
+        return max(found, node[2] or 1)
     if head in ("pow", "div", "neg"):
-        return max_dof_index(node[1])
+        return max(found, max_dof_index(node[1]))
     if head == "call":
-        return max((max_dof_index(a) for a in node[2]), default=0)
-    return 0
+        return max(found, max((max_dof_index(a) for a in node[2]), default=0))
+    return found
 
 
 def _to_phase(pair, dof_count, what):
@@ -260,14 +293,14 @@ def _to_scalar(pair, what):
 
 
 def _as_uint(pair, what):
-    value = _to_scalar(pair, what)
-    terms = value.sorted_terms()
-    if not terms:
-        return 0
-    if len(terms) == 1 and terms[0][0] == (0, 0):
-        gaussian = terms[0][1]
-        if gaussian.im == 0 and gaussian.re.denominator == 1 and gaussian.re >= 0:
-            return int(gaussian.re)
+    gaussian = _to_scalar(pair, what).as_constant()
+    if (
+        gaussian is not None
+        and gaussian.im == 0
+        and gaussian.re.denominator == 1
+        and gaussian.re >= 0
+    ):
+        return int(gaussian.re)
     raise ExprTypeError(f"{what} must be a nonnegative integer")
 
 
@@ -322,18 +355,38 @@ def _eval_call(name, arguments, column, dof_count):
         return "op", result
     if name == "evolve":
         order = _as_uint(values[2], "evolve's order")
-        if values[1][0] == "op":
-            raise ExprTypeError("the hamiltonian must be commutative")
-        H = _to_phase(values[1], dof_count, "evolve")
-        kind, value = values[0]
-        if kind == "op":
-            return "series", pmb_flow_series(value, H, order)
-        f0 = _to_phase(values[0], dof_count, "evolve")
-        return "series", classical_flow_series(f0, H, order)
+        return "series", evolve_series(values[0], values[1], order, dof_count)
     raise AssertionError(f"unhandled call {name}")
 
 
+def evolve_series(observable, hamiltonian, order, dof_count):
+    """Flow of an evaluated observable under an evaluated Hamiltonian.
+
+    Both are (kind, value) pairs as evaluate returns them.  An operator
+    observable flows by pmb with ms(H), a commutative or scalar one by
+    the Poisson bracket with H; H itself must be commutative.
+    """
+    if hamiltonian[0] not in ("phase", "scalar"):
+        raise ExprTypeError("the hamiltonian must be commutative")
+    H = _to_phase(hamiltonian, dof_count, "evolve")
+    kind, value = observable
+    if kind == "series":
+        raise ExprTypeError("the observable cannot be a flow series")
+    if kind == "op":
+        return pmb_flow_series(value, H, order)
+    return classical_flow_series(_to_phase(observable, dof_count, "evolve"), H, order)
+
+
 def _eval(node, dof_count):
+    node, steps = _chain(node)
+    out = _eval_operand(node, dof_count)
+    for head, right in steps:
+        out = _combine(out, _eval(right, dof_count), head, dof_count)
+    return out
+
+
+def _eval_operand(node, dof_count):
+    """Evaluate a node that heads no +/-/* chain."""
     head = node[0]
     if head == "num":
         return "scalar", Scalar.constant(node[1])
@@ -353,22 +406,14 @@ def _eval(node, dof_count):
         if node[1] in ("q", "p"):
             return "phase", PhasePoly.generator(node[1], index, dof_count)
         return "op", OpPoly.generator(node[1][0], index, dof_count)
-    if head in ("add", "sub", "mul"):
-        return _combine(_eval(node[1], dof_count), _eval(node[2], dof_count), head, dof_count)
-    if head == "pow":
+    if head in ("pow", "div", "neg"):
         kind, value = _eval(node[1], dof_count)
         if kind == "series":
             raise ExprTypeError("flow series cannot be combined further")
-        return kind, value ** node[2]
-    if head == "div":
-        kind, value = _eval(node[1], dof_count)
-        if kind == "series":
-            raise ExprTypeError("flow series cannot be combined further")
-        return kind, value * Fraction(1, node[2])
-    if head == "neg":
-        kind, value = _eval(node[1], dof_count)
-        if kind == "series":
-            raise ExprTypeError("flow series cannot be combined further")
+        if head == "pow":
+            return kind, value ** node[2]
+        if head == "div":
+            return kind, value * Fraction(1, node[2])
         return kind, -value
     if head == "call":
         return _eval_call(node[1], node[2], node[3], dof_count)

@@ -25,7 +25,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .scalars import GaussianRational, Scalar, ONE
+from .polynomial import SparsePoly, _accumulate, _combine_dof
+from .scalars import GaussianRational, Scalar, ONE, _coerce_scalar
 
 __all__ = [
     "OpPoly",
@@ -67,165 +68,21 @@ def _dof_pair(n1, m1, n2, m2):
     }
 
 
-def _combine_dof(partial, factor):
-    # Tensor step: extend every accumulated key by one dof's (n, m) block.
-    out = {}
-    for pkey, pco in partial.items():
-        for block, fco in factor.items():
-            out[pkey + (block,)] = pco * fco
-    return out
-
-
-def _accumulate(terms, key, coeff):
-    got = terms.get(key)
-    total = coeff if got is None else got + coeff
-    if total:
-        terms[key] = total
-    elif got is not None:
-        del terms[key]
-
-
-def _coerce_coeff(value):
-    if isinstance(value, Scalar):
-        return value
-    if isinstance(value, (int, Fraction, GaussianRational)):
-        return Scalar.term(0, 0, value)
-    return None
-
-
-class OpPoly:
+class OpPoly(SparsePoly):
     """Polynomial operator in canonical normal form.
 
-    terms maps exponent vectors ((n1, m1), ..., (nd, md)) to Scalar
-    coefficients; the vector stands for the product over dofs of
-    qh_i^n_i ph_i^m_i.  Two OpPolys are equal exactly when their term
-    maps are equal, so normal forms double as identity certificates.
+    An exponent vector stands for the product over dofs of
+    qh_i^n_i ph_i^m_i, so equal normal forms double as identity
+    certificates.
     """
 
-    __slots__ = ("dof_count", "_terms")
-
-    def __init__(self, dof_count, terms=None):
-        if not isinstance(dof_count, int) or dof_count < 1:
-            raise ValueError("dof_count must be a positive integer")
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                key = tuple((int(n), int(m)) for n, m in key)
-                if len(key) != dof_count:
-                    raise ValueError("exponent vector length != dof_count")
-                if any(n < 0 or m < 0 for n, m in key):
-                    raise ValueError("negative exponents")
-                coeff = _coerce_coeff(coeff)
-                if coeff is None:
-                    raise TypeError("coefficients must be Scalars")
-                if coeff:
-                    _accumulate(clean, key, coeff)
-        self.dof_count = dof_count
-        self._terms = clean
-
-    @classmethod
-    def _raw(cls, dof_count, terms):
-        out = object.__new__(cls)
-        out.dof_count = dof_count
-        out._terms = terms
-        return out
-
-    @classmethod
-    def zero(cls, dof_count=1):
-        return cls._raw(dof_count, {})
+    __slots__ = ()
 
     @classmethod
     def identity(cls, dof_count=1):
         return cls._raw(dof_count, {((0, 0),) * dof_count: ONE})
 
-    @classmethod
-    def generator(cls, kind, dof_index=0, dof_count=1):
-        """qh or ph for one dof: kind is 'q' or 'p'."""
-        if kind not in ("q", "p"):
-            raise ValueError(f"kind must be 'q' or 'p', got {kind!r}")
-        if not 0 <= dof_index < dof_count:
-            raise IndexError("dof_index out of range")
-        block = (1, 0) if kind == "q" else (0, 1)
-        key = tuple(
-            block if i == dof_index else (0, 0) for i in range(dof_count)
-        )
-        return cls._raw(dof_count, {key: ONE})
-
-    @classmethod
-    def monomial(cls, exponents, coeff=ONE):
-        key = tuple((int(n), int(m)) for n, m in exponents)
-        return cls(len(key), {key: coeff})
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def is_zero(self):
-        return not self._terms
-
-    def items(self):
-        return self._terms.items()
-
-    def sorted_terms(self):
-        return sorted(self._terms.items())
-
-    def _check_dof(self, other):
-        if self.dof_count != other.dof_count:
-            raise ValueError(
-                f"dof_count mismatch: {self.dof_count} vs {other.dof_count}"
-            )
-
-    def __eq__(self, other):
-        if not isinstance(other, OpPoly):
-            return NotImplemented
-        return self.dof_count == other.dof_count and self._terms == other._terms
-
-    def __add__(self, other):
-        scalar = _coerce_coeff(other)
-        if scalar is not None:
-            other = OpPoly._raw(
-                self.dof_count, {((0, 0),) * self.dof_count: scalar}
-            )
-        elif not isinstance(other, OpPoly):
-            return NotImplemented
-        self._check_dof(other)
-        merged = dict(self._terms)
-        for key, coeff in other._terms.items():
-            _accumulate(merged, key, coeff)
-        return OpPoly._raw(self.dof_count, merged)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, OpPoly):
-            return self + (-other)
-        scalar = _coerce_coeff(other)
-        if scalar is None:
-            return NotImplemented
-        return self + (-scalar)
-
-    def __rsub__(self, other):
-        scalar = _coerce_coeff(other)
-        if scalar is None:
-            return NotImplemented
-        return (-self) + scalar
-
-    def __neg__(self):
-        return OpPoly._raw(
-            self.dof_count, {k: -c for k, c in self._terms.items()}
-        )
-
-    def __mul__(self, other):
-        scalar = _coerce_coeff(other)
-        if scalar is not None:
-            if not scalar:
-                return OpPoly.zero(self.dof_count)
-            return OpPoly._raw(
-                self.dof_count,
-                {k: c * scalar for k, c in self._terms.items()},
-            )
-        if not isinstance(other, OpPoly):
-            return NotImplemented
-        self._check_dof(other)
+    def _product(self, other):
         out = {}
         for key1, c1 in self._terms.items():
             for key2, c2 in other._terms.items():
@@ -236,20 +93,6 @@ class OpPoly:
                 for key, factor in partial.items():
                     _accumulate(out, key, weight * factor)
         return OpPoly._raw(self.dof_count, out)
-
-    def __rmul__(self, other):
-        scalar = _coerce_coeff(other)
-        if scalar is None:
-            return NotImplemented
-        return self * scalar
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("operator powers must be nonnegative integers")
-        out = OpPoly.identity(self.dof_count)
-        for _ in range(exponent):
-            out = out * self
-        return out
 
     def dagger(self, s_rule="fix_s"):
         """Adjoint: reverse every word, conjugate coefficients, renormalize.
@@ -266,46 +109,6 @@ class OpPoly:
             for new_key, factor in partial.items():
                 _accumulate(out, new_key, weight * factor)
         return OpPoly._raw(self.dof_count, out)
-
-    def map_scalars(self, fn):
-        out = {}
-        for key, coeff in self._terms.items():
-            coeff = fn(coeff)
-            if coeff:
-                out[key] = coeff
-        return OpPoly._raw(self.dof_count, out)
-
-    def substitute(self, s_value=None, hbar_value=None):
-        return self.map_scalars(
-            lambda c: c.substitute(s_value=s_value, hbar_value=hbar_value)
-        )
-
-    def negate_s(self):
-        return self.map_scalars(lambda c: c.negate_s())
-
-    def subs_s(self, value):
-        return self.map_scalars(lambda c: c.subs_s(value))
-
-    def min_hbar_exp(self):
-        exps = [c.min_hbar_exp() for c in self._terms.values()]
-        return min(exps) if exps else None
-
-    def depends_on_s(self):
-        return any(
-            j > 0 for c in self._terms.values() for (_k, j), _v in c.items()
-        )
-
-    def total_degree(self):
-        """Largest summed exponent over all terms; None when zero."""
-        if not self._terms:
-            return None
-        return max(sum(n + m for n, m in key) for key in self._terms)
-
-    def __repr__(self):
-        if not self._terms:
-            return f"OpPoly.zero({self.dof_count})"
-        bits = [f"{key}: {coeff!r}" for key, coeff in self.sorted_terms()]
-        return "OpPoly{" + ", ".join(bits) + "}"
 
 
 class OpWord:
@@ -344,7 +147,7 @@ def normalize(word, coeff=ONE):
         qh^a ph^b * ph = qh^a ph^(b+1),
     while letters of distinct degrees of freedom commute.
     """
-    coeff = _coerce_coeff(coeff)
+    coeff = _coerce_scalar(coeff)
     if coeff is None:
         raise TypeError("coeff must be a Scalar")
     dof_count = word.dof_count

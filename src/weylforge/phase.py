@@ -19,8 +19,8 @@ import functools
 import math
 from fractions import Fraction
 
+from .polynomial import SparsePoly, _accumulate, _combine_dof
 from .scalars import (
-    GaussianRational,
     Scalar,
     ONE,
     I,
@@ -49,162 +49,20 @@ _S_PLUS = HBAR * (ONE + S) * Fraction(1, 2)
 _S_MINUS = HBAR * (ONE - S) * Fraction(1, 2)
 
 
-def _accumulate(terms, key, coeff):
-    got = terms.get(key)
-    total = coeff if got is None else got + coeff
-    if total:
-        terms[key] = total
-    elif got is not None:
-        del terms[key]
-
-
-def _coerce_coeff(value):
-    if isinstance(value, Scalar):
-        return value
-    if isinstance(value, (int, Fraction, GaussianRational)):
-        return Scalar.term(0, 0, value)
-    return None
-
-
-class PhasePoly:
+class PhasePoly(SparsePoly):
     """Sparse polynomial in q_i, p_i with Scalar coefficients.
 
-    terms maps ((n1, m1), ..., (nd, md)) to the coefficient of
-    prod_i q_i^n_i p_i^m_i.  Multiplication is the ordinary commutative
-    convolution; the zero polynomial stores no terms.
+    An exponent vector stands for prod_i q_i^n_i p_i^m_i.
+    Multiplication is the ordinary commutative convolution.
     """
 
-    __slots__ = ("dof_count", "_terms")
-
-    def __init__(self, dof_count, terms=None):
-        if not isinstance(dof_count, int) or dof_count < 1:
-            raise ValueError("dof_count must be a positive integer")
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                key = tuple((int(n), int(m)) for n, m in key)
-                if len(key) != dof_count:
-                    raise ValueError("exponent vector length != dof_count")
-                if any(n < 0 or m < 0 for n, m in key):
-                    raise ValueError("negative exponents")
-                coeff = _coerce_coeff(coeff)
-                if coeff is None:
-                    raise TypeError("coefficients must be Scalars")
-                if coeff:
-                    _accumulate(clean, key, coeff)
-        self.dof_count = dof_count
-        self._terms = clean
-
-    @classmethod
-    def _raw(cls, dof_count, terms):
-        out = object.__new__(cls)
-        out.dof_count = dof_count
-        out._terms = terms
-        return out
-
-    @classmethod
-    def zero(cls, dof_count=1):
-        return cls._raw(dof_count, {})
-
-    @classmethod
-    def constant(cls, value, dof_count=1):
-        coeff = _coerce_coeff(value)
-        if coeff is None:
-            raise TypeError("constant must be a Scalar")
-        if not coeff:
-            return cls.zero(dof_count)
-        return cls._raw(dof_count, {((0, 0),) * dof_count: coeff})
+    __slots__ = ()
 
     @classmethod
     def one(cls, dof_count=1):
         return cls.constant(ONE, dof_count)
 
-    @classmethod
-    def generator(cls, kind, dof_index=0, dof_count=1):
-        """q or p for one dof: kind is 'q' or 'p'."""
-        if kind not in ("q", "p"):
-            raise ValueError(f"kind must be 'q' or 'p', got {kind!r}")
-        if not 0 <= dof_index < dof_count:
-            raise IndexError("dof_index out of range")
-        block = (1, 0) if kind == "q" else (0, 1)
-        key = tuple(
-            block if i == dof_index else (0, 0) for i in range(dof_count)
-        )
-        return cls._raw(dof_count, {key: ONE})
-
-    @classmethod
-    def monomial(cls, exponents, coeff=ONE):
-        key = tuple((int(n), int(m)) for n, m in exponents)
-        return cls(len(key), {key: coeff})
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def is_zero(self):
-        return not self._terms
-
-    def items(self):
-        return self._terms.items()
-
-    def sorted_terms(self):
-        return sorted(self._terms.items())
-
-    def _check_dof(self, other):
-        if self.dof_count != other.dof_count:
-            raise ValueError(
-                f"dof_count mismatch: {self.dof_count} vs {other.dof_count}"
-            )
-
-    def __eq__(self, other):
-        if not isinstance(other, PhasePoly):
-            return NotImplemented
-        return self.dof_count == other.dof_count and self._terms == other._terms
-
-    def __add__(self, other):
-        scalar = _coerce_coeff(other)
-        if scalar is not None:
-            other = PhasePoly.constant(scalar, self.dof_count)
-        elif not isinstance(other, PhasePoly):
-            return NotImplemented
-        self._check_dof(other)
-        merged = dict(self._terms)
-        for key, coeff in other._terms.items():
-            _accumulate(merged, key, coeff)
-        return PhasePoly._raw(self.dof_count, merged)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, PhasePoly):
-            return self + (-other)
-        scalar = _coerce_coeff(other)
-        if scalar is None:
-            return NotImplemented
-        return self + (-scalar)
-
-    def __rsub__(self, other):
-        scalar = _coerce_coeff(other)
-        if scalar is None:
-            return NotImplemented
-        return (-self) + scalar
-
-    def __neg__(self):
-        return PhasePoly._raw(
-            self.dof_count, {k: -c for k, c in self._terms.items()}
-        )
-
-    def __mul__(self, other):
-        scalar = _coerce_coeff(other)
-        if scalar is not None:
-            if not scalar:
-                return PhasePoly.zero(self.dof_count)
-            return PhasePoly._raw(
-                self.dof_count,
-                {k: c * scalar for k, c in self._terms.items()},
-            )
-        if not isinstance(other, PhasePoly):
-            return NotImplemented
-        self._check_dof(other)
+    def _product(self, other):
         out = {}
         for key1, c1 in self._terms.items():
             for key2, c2 in other._terms.items():
@@ -214,20 +72,6 @@ class PhasePoly:
                 )
                 _accumulate(out, key, c1 * c2)
         return PhasePoly._raw(self.dof_count, out)
-
-    def __rmul__(self, other):
-        scalar = _coerce_coeff(other)
-        if scalar is None:
-            return NotImplemented
-        return self * scalar
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("powers must be nonnegative integers")
-        out = PhasePoly.one(self.dof_count)
-        for _ in range(exponent):
-            out = out * self
-        return out
 
     def derivative(self, var, dof_index=0):
         """Formal partial derivative in q or p of one dof."""
@@ -246,48 +90,6 @@ class PhasePoly:
             new_key = key[:dof_index] + (tuple(block),) + key[dof_index + 1:]
             _accumulate(out, new_key, coeff * exponent)
         return PhasePoly._raw(self.dof_count, out)
-
-    def map_scalars(self, fn):
-        out = {}
-        for key, coeff in self._terms.items():
-            coeff = fn(coeff)
-            if coeff:
-                out[key] = coeff
-        return PhasePoly._raw(self.dof_count, out)
-
-    def substitute(self, s_value=None, hbar_value=None):
-        return self.map_scalars(
-            lambda c: c.substitute(s_value=s_value, hbar_value=hbar_value)
-        )
-
-    def negate_s(self):
-        return self.map_scalars(lambda c: c.negate_s())
-
-    def subs_s(self, value):
-        return self.map_scalars(lambda c: c.subs_s(value))
-
-    def limit_hbar_zero(self):
-        return self.map_scalars(lambda c: c.limit_hbar_zero())
-
-    def min_hbar_exp(self):
-        exps = [c.min_hbar_exp() for c in self._terms.values()]
-        return min(exps) if exps else None
-
-    def depends_on_s(self):
-        return any(
-            j > 0 for c in self._terms.values() for (_k, j), _v in c.items()
-        )
-
-    def total_degree(self):
-        if not self._terms:
-            return None
-        return max(sum(n + m for n, m in key) for key in self._terms)
-
-    def __repr__(self):
-        if not self._terms:
-            return f"PhasePoly.zero({self.dof_count})"
-        bits = [f"{key}: {coeff!r}" for key, coeff in self.sorted_terms()]
-        return "PhasePoly{" + ", ".join(bits) + "}"
 
 
 def poisson_bracket(f, g):
@@ -339,11 +141,7 @@ def star_product(f, g):
             weight = c1 * c2
             partial = {(): ONE}
             for (n, m), (k, l) in zip(key1, key2):
-                step = {}
-                for pkey, pco in partial.items():
-                    for block, fco in _star_single(n, m, k, l).items():
-                        step[pkey + (block,)] = pco * fco
-                partial = step
+                partial = _combine_dof(partial, _star_single(n, m, k, l))
             for key, factor in partial.items():
                 _accumulate(out, key, weight * factor)
     return PhasePoly._raw(f.dof_count, out)

@@ -215,12 +215,18 @@ class Scalar:
     def __hash__(self):
         # A constant equals its coefficient (and zero equals 0), so it
         # must hash like one.
-        if not self._terms:
-            return hash(0)
-        constant = self._terms.get((0, 0))
-        if constant is not None and len(self._terms) == 1:
+        constant = self.as_constant()
+        if constant is not None:
             return hash(constant)
         return hash(tuple(self.sorted_terms()))
+
+    def as_constant(self):
+        """The value as a GaussianRational when free of hbar and s, else None."""
+        if not self._terms:
+            return GaussianRational(0)
+        if len(self._terms) == 1:
+            return self._terms.get((0, 0))
+        return None
 
     def __add__(self, other):
         other = _coerce_scalar(other)

@@ -21,7 +21,7 @@ On top of that sit two derived structures taking operator arguments:
 
 from fractions import Fraction
 
-from .operators import OpPoly, commutator
+from .operators import OpPoly, _exp_vector, commutator
 from .phase import PhasePoly
 from .scalars import ONE, S, I_OVER_HBAR, NEG_I_OVER_HBAR, NegativeHbarPower
 from .wwgm import ms, ms_inverse
@@ -63,17 +63,12 @@ def t_super_apply(gen, sigma, F):
     return A * F * left + F * A * right
 
 
-def _exp_vector(value, dof_count):
-    if isinstance(value, int):
-        if dof_count != 1:
-            raise ValueError("per-dof exponent sequence required for dof > 1")
-        vec = (value,)
-    else:
-        vec = tuple(int(v) for v in value)
+def _dof_exponents(value, dof_count):
+    if isinstance(value, int) and dof_count != 1:
+        raise ValueError("per-dof exponent sequence required for dof > 1")
+    vec = _exp_vector(value)
     if len(vec) != dof_count:
         raise ValueError("exponent vector length != dof_count")
-    if any(v < 0 for v in vec):
-        raise ValueError("negative exponents")
     return vec
 
 
@@ -85,8 +80,8 @@ def ordering_super_apply(n, m, F):
     order of application is irrelevant because the maps commute; acting
     on the identity yields the ordered monomial with these exponents.
     """
-    n_vec = _exp_vector(n, F.dof_count)
-    m_vec = _exp_vector(m, F.dof_count)
+    n_vec = _dof_exponents(n, F.dof_count)
+    m_vec = _dof_exponents(m, F.dof_count)
     out = F
     for i in range(F.dof_count):
         for _ in range(m_vec[i]):
@@ -115,10 +110,7 @@ class Liouvillian:
         self.source = source
 
     def apply(self, F):
-        if self.source.dof_count != F.dof_count:
-            raise ValueError(
-                f"dof_count mismatch: {self.source.dof_count} vs {F.dof_count}"
-            )
+        self.source._check_dof(F)
         out = OpPoly.zero(F.dof_count)
         for key, coeff in self.source.items():
             n_vec = tuple(n for n, _ in key)

@@ -1,11 +1,16 @@
 """The anchored self-check registry behind the check subcommand."""
 
+import hashlib
 import json
 
 import pytest
 
-from weylforge import render
+from weylforge import cli, render
 from weylforge.conformance import SUITES, run_suite
+
+# SHA-256 of the stdout of `weylforge check --suite all --format json
+# --seed 42`, trailing newline included.
+GOLDEN_ALL_42 = "d12c3e11c198a272c8266f251ffd73826baae07e450943828530b6f5e4831ad6"
 
 # Every numbered statement the registry promises to exercise.
 REQUIRED_ANCHORS = {
@@ -27,39 +32,53 @@ def covered_anchors(report):
     return out
 
 
+@pytest.fixture(scope="module")
+def reports():
+    """run_suite, run once per (suite, seed) for the whole module.
+
+    A full-suite run takes seconds; the tests only read the reports.
+    """
+    cache = {}
+
+    def get(suite, seed):
+        if (suite, seed) not in cache:
+            cache[suite, seed] = run_suite(suite, seed)
+        return cache[suite, seed]
+
+    return get
+
+
 class TestSuites:
     @pytest.mark.parametrize("suite", SUITES)
-    def test_every_suite_passes(self, suite):
-        report = run_suite(suite, seed=1)
+    def test_every_suite_passes(self, reports, suite):
+        report = reports(suite, 1)
         assert report["failed"] == 0
         assert report["passed"] == len(report["checks"])
         for check in report["checks"]:
             assert check["status"] == "pass"
             assert check["witness"] is None
 
-    def test_all_is_the_union(self):
-        report = run_suite("all", seed=3)
-        per_suite = sum(
-            len(run_suite(s, seed=3)["checks"]) for s in SUITES[1:]
-        )
+    def test_all_is_the_union(self, reports):
+        report = reports("all", 3)
+        per_suite = sum(len(reports(s, 3)["checks"]) for s in SUITES[1:])
         assert len(report["checks"]) == per_suite
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError):
             run_suite("nope")
 
-    def test_check_ids_unique(self):
-        report = run_suite("all", seed=0)
+    def test_check_ids_unique(self, reports):
+        report = reports("all", 0)
         ids = [c["id"] for c in report["checks"]]
         assert len(ids) == len(set(ids))
 
-    def test_anchor_coverage(self):
-        report = run_suite("all", seed=0)
+    def test_anchor_coverage(self, reports):
+        report = reports("all", 0)
         missing = REQUIRED_ANCHORS - covered_anchors(report)
         assert not missing
 
-    def test_report_shape(self):
-        report = run_suite("weyl", seed=5)
+    def test_report_shape(self, reports):
+        report = reports("weyl", 5)
         assert report["kind"] == "conformance_report"
         assert report["suite"] == "weyl"
         assert report["seed"] == 5
@@ -69,33 +88,48 @@ class TestSuites:
             }
 
 
+@pytest.fixture(scope="module")
+def rerun_42():
+    """A second seed-42 full-suite run, independent of the cached one."""
+    return run_suite("all", 42)
+
+
 class TestDeterminism:
-    def test_same_seed_same_bytes(self):
-        one = json.dumps(run_suite("all", 42), sort_keys=True)
-        two = json.dumps(run_suite("all", 42), sort_keys=True)
+    def test_same_seed_same_bytes(self, reports, rerun_42):
+        one = json.dumps(reports("all", 42), sort_keys=True)
+        two = json.dumps(rerun_42, sort_keys=True)
         assert one == two
 
-    def test_rendered_report_is_reproducible(self):
-        one = render(run_suite("all", 42))
-        two = render(run_suite("all", 42))
+    def test_rendered_report_is_reproducible(self, reports, rerun_42):
+        one = render(reports("all", 42))
+        two = render(rerun_42)
         assert one == two
 
-    def test_different_seeds_still_pass(self):
+    def test_golden_check_output(self, reports, monkeypatch):
+        # The whole check command, fed the seed-42 report already run.
+        monkeypatch.setattr(cli, "run_suite", reports)
+        code, out = cli.run_command(
+            ["check", "--suite", "all", "--format", "json", "--seed", "42"]
+        )
+        assert code == 0
+        assert hashlib.sha256((out + "\n").encode()).hexdigest() == GOLDEN_ALL_42
+
+    def test_different_seeds_still_pass(self, reports):
         for seed in (0, 7, 1234):
-            assert run_suite("all", seed)["failed"] == 0
+            assert reports("all", seed)["failed"] == 0
 
 
 class TestRenderedReport:
-    def test_text_lines(self):
-        text = render(run_suite("weyl", 1))
+    def test_text_lines(self, reports):
+        text = render(reports("weyl", 1))
         lines = text.splitlines()
         assert lines[0].startswith("suite weyl:")
         assert all(line.startswith("[PASS]") for line in lines[1:])
 
-    def test_latex_format_renders(self):
-        out = render(run_suite("weyl", 1), "latex")
+    def test_latex_format_renders(self, reports):
+        out = render(reports("weyl", 1), "latex")
         assert "tabular" in out
 
-    def test_json_format_renders(self):
-        blob = json.loads(render(run_suite("weyl", 1), "json"))
+    def test_json_format_renders(self, reports):
+        blob = json.loads(render(reports("weyl", 1), "json"))
         assert blob["kind"] == "conformance_report"

@@ -77,6 +77,26 @@ class TestParsing:
         with pytest.raises(ExprSyntaxError):
             eval_text("q p")
 
+    def test_long_flat_chains(self):
+        # Flat sums and products parse into one tree level per operand;
+        # walking them must not take one Python frame per operand.
+        assert run_command(["eval", "q" + "+q" * 2000]) == (0, "2001*q")
+        assert run_command(["eval", "q" + "*q" * 2000]) == (0, "q^2001")
+        assert max_dof_index(parse("q" + "-q2" * 2000)) == 2
+
+    def test_nesting_at_the_limit(self):
+        assert run_command(["eval", "(" * 100 + "q" + ")" * 100]) == (0, "q")
+        assert run_command(["eval", "dagger(" * 100 + "qh" + ")" * 100]) == (0, "qh")
+
+    @pytest.mark.parametrize("depth", [300, 600])
+    def test_deep_nesting_rejected(self, depth):
+        code, out = run_command(["eval", "(" * depth + "q" + ")" * depth])
+        assert code == 2
+        assert out.startswith("syntax error at column 101: ")
+        code, out = run_command(["eval", "ms(" * depth + "q" + ")" * depth])
+        assert code == 2
+        assert out.startswith("syntax error at column 303: ")
+
 
 class TestEvaluation:
     def test_kinds(self):
@@ -328,6 +348,22 @@ class TestCli:
             ]
         )
         assert code == 2
+
+    def test_evolve_blames_a_series_observable(self):
+        code, out = run_command(
+            [
+                "evolve",
+                "--observable",
+                "evolve(q,p^2,1)",
+                "--hamiltonian",
+                "p^2/2",
+                "--order",
+                "1",
+            ]
+        )
+        assert code == 2
+        assert "observable" in out
+        assert "hamiltonian" not in out
 
     def test_json_format_flag(self):
         code, out = run_command(["eval", "q*p", "--format", "json"])
