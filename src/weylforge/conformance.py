@@ -990,7 +990,11 @@ assert {check.suite for check in _REGISTRY} == set(SUITES[1:])
 
 
 def run_suite(suite="all", seed=0):
-    """Run one suite; returns the JSON-ready report dict."""
+    """Run one suite; returns the JSON-ready report dict.
+
+    A check whose runner raises is reported as failing, with the
+    exception as its witness, and the remaining checks still run.
+    """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     rng = random.Random(seed)
@@ -998,7 +1002,10 @@ def run_suite(suite="all", seed=0):
     rows = []
     passed = 0
     for check in checks:
-        ok, witness = check.runner(rng)
+        try:
+            ok, witness = check.runner(rng)
+        except Exception as error:  # a broken check fails its row, not the report
+            ok, witness = False, f"{type(error).__name__}: {error}"
         passed += bool(ok)
         rows.append(
             {

@@ -37,6 +37,11 @@ __all__ = [
     "to_t_basis",
 ]
 
+# Largest total degree sum(n) + sum(m) t_monomial builds.  The formal
+# result has about n*m/2 terms whose coefficients grow with the degree,
+# so time, memory and printed size grow as a high power of it.
+MAX_T_DEGREE = 400
+
 # (-i)^k by k mod 4.
 _MINUS_I_POWERS = (
     GaussianRational(1),
@@ -210,7 +215,8 @@ def t_monomial(n, m, form="q", s_value=None):
     ordering parameter in the result; the construction itself is always
     formal, so substitution commutes with every identity.  form names
     the position-led ("q") or momentum-led ("p") binomial average the
-    monomial is defined by; both are the same operator.
+    monomial is defined by; both are the same operator.  A total degree
+    above MAX_T_DEGREE raises ValueError.
     """
     if form not in ("q", "p"):
         raise ValueError(f"form must be 'q' or 'p', got {form!r}")
@@ -218,6 +224,12 @@ def t_monomial(n, m, form="q", s_value=None):
     m_vector = _exp_vector(m)
     if len(n_vector) != len(m_vector):
         raise ValueError("n and m must cover the same dofs")
+    degree = sum(n_vector) + sum(m_vector)
+    if degree > MAX_T_DEGREE:
+        raise ValueError(
+            f"ordered monomial of total degree {degree} exceeds the limit "
+            f"of {MAX_T_DEGREE}"
+        )
     out = _t_multi(n_vector, m_vector)
     if s_value is not None:
         out = out.substitute(s_value=s_value)

@@ -123,11 +123,11 @@ class SparsePoly:
         return self.dof_count == other.dof_count and self._terms == other._terms
 
     def __add__(self, other):
-        scalar = _coerce_scalar(other)
-        if scalar is not None:
+        if type(other) is not type(self):
+            scalar = _coerce_scalar(other)
+            if scalar is None:
+                return NotImplemented
             other = self.constant(scalar, self.dof_count)
-        elif type(other) is not type(self):
-            return NotImplemented
         self._check_dof(other)
         merged = dict(self._terms)
         for key, coeff in other._terms.items():
@@ -154,18 +154,18 @@ class SparsePoly:
         return self._raw(self.dof_count, {k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other):
+        if type(other) is type(self):
+            self._check_dof(other)
+            return self._product(other)
         scalar = _coerce_scalar(other)
-        if scalar is not None:
-            if not scalar:
-                return self.zero(self.dof_count)
-            return self._raw(
-                self.dof_count,
-                {k: c * scalar for k, c in self._terms.items()},
-            )
-        if type(other) is not type(self):
+        if scalar is None:
             return NotImplemented
-        self._check_dof(other)
-        return self._product(other)
+        if not scalar:
+            return self.zero(self.dof_count)
+        return self._raw(
+            self.dof_count,
+            {k: c * scalar for k, c in self._terms.items()},
+        )
 
     def __rmul__(self, other):
         scalar = _coerce_scalar(other)

@@ -16,6 +16,7 @@ commute with everything else.
 """
 
 from fractions import Fraction
+from math import gcd as _gcd
 
 __all__ = [
     "GaussianRational",
@@ -46,76 +47,144 @@ def _frac(value):
 
 
 class GaussianRational:
-    """An exact complex number re + im*i with rational parts.
+    """An exact complex number (a + b*i)/d with integer a, b, d.
 
-    Values are immutable; Fraction keeps both parts reduced with a
-    positive denominator, so equal numbers are structurally equal.
+    Values are immutable and kept canonical: d > 0 and
+    gcd(a, b, d) == 1, so zero is (0, 0, 1) and equal numbers are
+    structurally equal.  Ring arithmetic works on the three integers
+    alone; ``re`` and ``im`` hand out the parts as Fractions for
+    parsing, rendering and comparison at the edges.  A real value
+    equals, and hashes like, the int or Fraction it stands for.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = _frac(re)
-        self.im = _frac(im)
+        re = _frac(re)
+        im = _frac(im)
+        d = re.denominator * im.denominator
+        self._a, self._b, self._d = _reduced(
+            re.numerator * im.denominator, im.numerator * re.denominator, d
+        )
+
+    @classmethod
+    def _raw(cls, a, b, d):
+        # Trusted constructor: (a, b, d) already canonical.
+        out = object.__new__(cls)
+        out._a = a
+        out._b = b
+        out._d = d
+        return out
+
+    @property
+    def re(self):
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self):
+        return Fraction(self._b, self._d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return (
+                self._a == other._a and self._b == other._b and self._d == other._d
+            )
+        if isinstance(other, int):
+            return not self._b and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (
+                not self._b
+                and self._d == other.denominator
+                and self._a == other.numerator
+            )
         return NotImplemented
 
     def __hash__(self):
         # Equal to a plain rational when real, so it must hash like one.
-        if not self.im:
+        if not self._b:
             return hash(self.re)
-        return hash((self.re, self.im))
+        return hash((self._a, self._b, self._d))
 
     def __add__(self, other):
-        other = _coerce_gaussian(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce_gaussian(other)
+            if other is None:
+                return NotImplemented
+        d1 = self._d
+        d2 = other._d
+        if d1 == d2:
+            a = self._a + other._a
+            b = self._b + other._b
+            if d1 == 1:
+                return _new(a, b, 1)
+        else:
+            a = self._a * d2 + other._a * d1
+            b = self._b * d2 + other._b * d1
+            d1 *= d2
+        g = _gcd(a, b, d1)
+        if g == 1:
+            return _new(a, b, d1)
+        return _new(a // g, b // g, d1 // g)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce_gaussian(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussianRational:
+            other = _coerce_gaussian(other)
+            if other is None:
+                return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         other = _coerce_gaussian(other)
         if other is None:
             return NotImplemented
-        return GaussianRational(other.re - self.re, other.im - self.im)
+        return other + (-self)
 
     def __mul__(self, other):
-        other = _coerce_gaussian(other)
-        if other is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussianRational:
+            other = _coerce_gaussian(other)
+            if other is None:
+                return NotImplemented
+        a1 = self._a
+        b1 = self._b
+        a2 = other._a
+        b2 = other._b
+        a = a1 * a2 - b1 * b2
+        b = a1 * b2 + b1 * a2
+        d = self._d * other._d
+        if d == 1:
+            return _new(a, b, 1)
+        g = _gcd(a, b, d)
+        if g == 1:
+            return _new(a, b, d)
+        return _new(a // g, b // g, d // g)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _new(-self._a, -self._b, self._d)
 
     def __truediv__(self, other):
         other = _coerce_gaussian(other)
         if other is None:
             return NotImplemented
-        norm = other.re * other.re + other.im * other.im
+        a2 = other._a
+        b2 = other._b
+        norm = a2 * a2 + b2 * b2
         if not norm:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return self * GaussianRational(other.re / norm, -other.im / norm)
+        # (a1 + b1 i)/d1 * d2 (a2 - b2 i)/norm
+        a1 = self._a
+        b1 = self._b
+        d2 = other._d
+        a, b, d = _reduced(
+            (a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * norm
+        )
+        return _new(a, b, d)
 
     def __rtruediv__(self, other):
         other = _coerce_gaussian(other)
@@ -126,24 +195,35 @@ class GaussianRational:
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
             raise ValueError("GaussianRational powers must be integers")
-        base = self if exponent >= 0 else GaussianRational(1) / self
-        out = GaussianRational(1)
+        base = self if exponent >= 0 else _new(1, 0, 1) / self
+        out = _new(1, 0, 1)
         for _ in range(abs(exponent)):
             out = out * base
         return out
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _new(self._a, -self._b, self._d)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
+_new = GaussianRational._raw
+
+
+def _reduced(a, b, d):
+    """(a, b, d) divided through by gcd(a, b, d), for positive d."""
+    g = _gcd(a, b, d)
+    return a // g, b // g, d // g
+
+
 def _coerce_gaussian(value):
     if isinstance(value, GaussianRational):
         return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
+    if isinstance(value, int):
+        return _new(int(value), 0, 1)
+    if isinstance(value, Fraction):
+        return _new(value.numerator, 0, value.denominator)
     return None
 
 
@@ -264,15 +344,15 @@ class Scalar:
         return Scalar._raw({key: -coeff for key, coeff in self._terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
+        if not isinstance(other, Scalar):
             factor = _coerce_gaussian(other)
+            if factor is None:
+                return NotImplemented
             if not factor:
                 return ZERO
             return Scalar._raw(
                 {key: coeff * factor for key, coeff in self._terms.items()}
             )
-        if not isinstance(other, Scalar):
-            return NotImplemented
         if not self._terms or not other._terms:
             return ZERO
         out = {}
@@ -340,9 +420,12 @@ class Scalar:
         if hbar_value is not None:
             hbar_value = _frac(hbar_value)
         out = {}
+        s_powers = [_new(1, 0, 1)]
         for (k, j), coeff in self._terms.items():
             if s_value is not None:
-                coeff = coeff * s_value**j
+                while len(s_powers) <= j:
+                    s_powers.append(s_powers[-1] * s_value)
+                coeff = coeff * s_powers[j]
                 j = 0
             if hbar_value is not None:
                 coeff = coeff * hbar_value**k  # 0**negative raises ZeroDivisionError
@@ -411,10 +494,10 @@ class Scalar:
 def _coerce_scalar(value):
     if isinstance(value, Scalar):
         return value
-    if isinstance(value, (int, Fraction, GaussianRational)):
-        coeff = _coerce_gaussian(value)
-        return Scalar._raw({(0, 0): coeff} if coeff else {})
-    return None
+    coeff = _coerce_gaussian(value)
+    if coeff is None:
+        return None
+    return Scalar._raw({(0, 0): coeff} if coeff else {})
 
 
 ZERO = Scalar._raw({})

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from weylforge import cli, render
+from weylforge import cli, conformance, render
 from weylforge.conformance import SUITES, run_suite
 
 # SHA-256 of the stdout of `weylforge check --suite all --format json
@@ -133,3 +133,24 @@ class TestRenderedReport:
     def test_json_format_renders(self, reports):
         blob = json.loads(render(reports("weyl", 1), "json"))
         assert blob["kind"] == "conformance_report"
+
+
+class TestIsolation:
+    def test_raising_check_fails_its_row_only(self, reports, monkeypatch):
+        def broken(rng):
+            raise ZeroDivisionError("boom")
+
+        registry = list(conformance._REGISTRY)
+        registry.insert(
+            0, conformance._Check("broken", "3", "weyl", "raises", {}, broken)
+        )
+        monkeypatch.setattr(conformance, "_REGISTRY", registry)
+        report = run_suite("weyl", 1)
+        first, *rest = report["checks"]
+        assert first["id"] == "broken"
+        assert first["status"] == "fail"
+        assert first["witness"] == "ZeroDivisionError: boom"
+        # The checks after it still run, and draw what they drew before.
+        assert rest == reports("weyl", 1)["checks"]
+        assert report["failed"] == 1
+        assert report["passed"] == len(rest)

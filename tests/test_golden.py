@@ -1,4 +1,4 @@
-"""Byte-exact output of the CLI for one small eval, t and evolve.
+"""Byte-exact output of the CLI for small eval, t and evolve commands.
 
 The strings are pinned literally: determinism tests only compare one run
 with another, so a change that alters every run alike shows up here.
@@ -149,6 +149,183 @@ EVOLVE_JSON = """\
 }"""
 
 
+# Rationals with non-trivial denominators and imaginary parts print as
+# 3/2, never as a decimal or an unreduced pair.
+EVAL_CUBE = ["eval", "(q/3 + i*p/2)^3"]
+EVAL_MIXED = ["eval", "(2/3 - i/4)*q^2 + (1/2 + 3*i)*hbar*p"]
+T_HALF = ["t", "3", "2", "--s-value", "1/2"]
+
+EVAL_CUBE_TEXT = "1/27*q^3 + 1/6*i*q^2*p - 1/4*q*p^2 - 1/8*i*p^3"
+
+EVAL_CUBE_LATEX = (
+    "\\frac{1}{27} q^{3} + \\frac{1}{6} i q^{2} p"
+    " - \\frac{1}{4} q p^{2} - \\frac{1}{8} i p^{3}"
+)
+
+EVAL_CUBE_JSON = """\
+{
+  "kind": "phase_poly",
+  "dof": 1,
+  "terms": [
+    {
+      "exponents": [
+        [
+          3,
+          0
+        ]
+      ],
+      "coeff": {
+        "hbar_pow": 0,
+        "s_pow": 0,
+        "re": "1/27",
+        "im": "0"
+      }
+    },
+    {
+      "exponents": [
+        [
+          2,
+          1
+        ]
+      ],
+      "coeff": {
+        "hbar_pow": 0,
+        "s_pow": 0,
+        "re": "0",
+        "im": "1/6"
+      }
+    },
+    {
+      "exponents": [
+        [
+          1,
+          2
+        ]
+      ],
+      "coeff": {
+        "hbar_pow": 0,
+        "s_pow": 0,
+        "re": "-1/4",
+        "im": "0"
+      }
+    },
+    {
+      "exponents": [
+        [
+          0,
+          3
+        ]
+      ],
+      "coeff": {
+        "hbar_pow": 0,
+        "s_pow": 0,
+        "re": "0",
+        "im": "-1/8"
+      }
+    }
+  ]
+}"""
+
+EVAL_MIXED_TEXT = "(2/3-1/4*i)*q^2 + (1/2+3*i)*hbar*p"
+
+EVAL_MIXED_LATEX = (
+    "(\\frac{2}{3} - \\frac{1}{4} i) q^{2}"
+    " + (\\frac{1}{2} + 3 i) \\hbar p"
+)
+
+EVAL_MIXED_JSON = """\
+{
+  "kind": "phase_poly",
+  "dof": 1,
+  "terms": [
+    {
+      "exponents": [
+        [
+          2,
+          0
+        ]
+      ],
+      "coeff": {
+        "hbar_pow": 0,
+        "s_pow": 0,
+        "re": "2/3",
+        "im": "-1/4"
+      }
+    },
+    {
+      "exponents": [
+        [
+          0,
+          1
+        ]
+      ],
+      "coeff": {
+        "hbar_pow": 1,
+        "s_pow": 0,
+        "re": "1/2",
+        "im": "3"
+      }
+    }
+  ]
+}"""
+
+T_HALF_TEXT = "qh^3*ph^2 - 3/2*i*hbar*qh^2*ph - 3/8*hbar^2*qh"
+
+T_HALF_LATEX = (
+    "\\hat{q}^{3} \\hat{p}^{2} - \\frac{3}{2} i \\hbar \\hat{q}^{2} \\hat{p}"
+    " - \\frac{3}{8} \\hbar^{2} \\hat{q}"
+)
+
+T_HALF_JSON = """\
+{
+  "kind": "op_poly",
+  "dof": 1,
+  "terms": [
+    {
+      "exponents": [
+        [
+          3,
+          2
+        ]
+      ],
+      "coeff": {
+        "hbar_pow": 0,
+        "s_pow": 0,
+        "re": "1",
+        "im": "0"
+      }
+    },
+    {
+      "exponents": [
+        [
+          2,
+          1
+        ]
+      ],
+      "coeff": {
+        "hbar_pow": 1,
+        "s_pow": 0,
+        "re": "0",
+        "im": "-3/2"
+      }
+    },
+    {
+      "exponents": [
+        [
+          1,
+          0
+        ]
+      ],
+      "coeff": {
+        "hbar_pow": 2,
+        "s_pow": 0,
+        "re": "-3/8",
+        "im": "0"
+      }
+    }
+  ]
+}"""
+
 @pytest.mark.parametrize(
     "argv,fmt,expected",
     [
@@ -161,6 +338,15 @@ EVOLVE_JSON = """\
         (EVOLVE, "text", EVOLVE_TEXT),
         (EVOLVE, "latex", EVOLVE_LATEX),
         (EVOLVE, "json", EVOLVE_JSON),
+        (EVAL_CUBE, "text", EVAL_CUBE_TEXT),
+        (EVAL_CUBE, "latex", EVAL_CUBE_LATEX),
+        (EVAL_CUBE, "json", EVAL_CUBE_JSON),
+        (EVAL_MIXED, "text", EVAL_MIXED_TEXT),
+        (EVAL_MIXED, "latex", EVAL_MIXED_LATEX),
+        (EVAL_MIXED, "json", EVAL_MIXED_JSON),
+        (T_HALF, "text", T_HALF_TEXT),
+        (T_HALF, "latex", T_HALF_LATEX),
+        (T_HALF, "json", T_HALF_JSON),
     ],
 )
 def test_cli_output_bytes(argv, fmt, expected):

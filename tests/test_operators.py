@@ -1,6 +1,7 @@
 """Normal ordering, commutators, and the s-ordered monomial basis."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from weylforge import (
     to_t_basis,
 )
 from weylforge.cli import run_command
+from weylforge.operators import MAX_T_DEGREE
 from weylforge.render import render
 from weylforge.sampling import random_op_poly
 
@@ -327,3 +329,28 @@ class TestHighDegree:
         m, n = 1900, 100
         got = normalize(OpWord([("p", 0)] * m + [("q", 0)] * n))
         assert got == closed_form_reorder(n, m)
+
+
+class TestDegreeLimit:
+    """t refuses a total degree above MAX_T_DEGREE instead of running on."""
+
+    def test_cli_rejects_huge_degree_at_once(self):
+        start = time.perf_counter()
+        code, out = run_command(["t", "1500", "1500"])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert str(MAX_T_DEGREE) in out
+
+    def test_limit_is_inclusive(self):
+        assert MAX_T_DEGREE == 400
+        assert run_command(["t", "200", "201"])[0] == 2
+        code, out = run_command(["t", "200", "200"])
+        assert code == 0
+        assert out.startswith("qh^200*ph^200 ")
+
+    def test_limit_counts_every_dof(self):
+        with pytest.raises(ValueError, match="exceeds the limit of 400"):
+            t_monomial((200, 1), (0, 200))
+        code, out = run_command(["eval", "t(300, 300)"])
+        assert code == 2
+        assert "limit of 400" in out

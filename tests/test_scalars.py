@@ -1,9 +1,12 @@
 """Exact coefficient arithmetic: GaussianRational and Scalar."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from weylforge import (
     HBAR,
@@ -80,6 +83,101 @@ class TestGaussianRational:
             assert g == value and hash(g) == hash(value)
             assert len({g, value}) == 1
         assert hash(GaussianRational(1, 2)) == hash(GaussianRational(1, 2))
+
+
+
+# Reference model: a Gaussian rational as a (re, im) pair of Fractions.
+rationals = st.fractions(min_value=-40, max_value=40, max_denominator=30)
+pairs = st.tuples(rationals, rationals)
+gaussians = pairs.map(lambda pair: GaussianRational(*pair))
+nonzero = gaussians.filter(bool)
+
+
+def pair_of(x):
+    return (x.re, x.im)
+
+
+def pair_mul(u, v):
+    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def assert_canonical(x):
+    a, b, d = x._a, x._b, x._d
+    assert all(type(v) is int for v in (a, b, d))
+    assert d > 0
+    assert math.gcd(a, b, d) == 1
+    if not x:
+        assert (a, b, d) == (0, 0, 1)
+
+
+class TestIntegerTriple:
+    """The (a + b*i)/d triple against a pair-of-Fractions reference."""
+
+    @given(pairs)
+    def test_construction_is_canonical(self, pair):
+        x = GaussianRational(*pair)
+        assert_canonical(x)
+        assert pair_of(x) == pair
+
+    @given(gaussians, gaussians)
+    def test_operations_stay_canonical_and_match_reference(self, x, y):
+        u, v = pair_of(x), pair_of(y)
+        for got, want in (
+            (x + y, (u[0] + v[0], u[1] + v[1])),
+            (x - y, (u[0] - v[0], u[1] - v[1])),
+            (x * y, pair_mul(u, v)),
+            (-x, (-u[0], -u[1])),
+            (x.conjugate(), (u[0], -u[1])),
+        ):
+            assert_canonical(got)
+            assert pair_of(got) == want
+        if y:
+            norm = v[0] * v[0] + v[1] * v[1]
+            quotient = x / y
+            assert_canonical(quotient)
+            assert pair_of(quotient) == pair_mul(u, (v[0] / norm, -v[1] / norm))
+
+    def test_zero_is_one_triple(self):
+        for zero in (
+            GaussianRational(),
+            GaussianRational(Fraction(3, 7), 2) - GaussianRational(Fraction(3, 7), 2),
+            GaussianRational(Fraction(1, 2)) * 0,
+        ):
+            assert_canonical(zero)
+            assert (zero._a, zero._b, zero._d) == (0, 0, 1)
+
+    @given(gaussians, gaussians, gaussians)
+    def test_commutative_ring_axioms(self, x, y, z):
+        zero, one = GaussianRational(0), GaussianRational(1)
+        assert (x + y) + z == x + (y + z)
+        assert x + y == y + x
+        assert x + zero == x
+        assert x + (-x) == zero
+        assert (x * y) * z == x * (y * z)
+        assert x * y == y * x
+        assert x * one == x
+        assert x * (y + z) == x * y + x * z
+
+    @given(gaussians, nonzero)
+    def test_division_undoes_multiplication(self, x, y):
+        assert x / y * y == x
+
+    @given(gaussians)
+    def test_parts_are_fractions_and_rebuild_the_value(self, x):
+        assert type(x.re) is Fraction
+        assert type(x.im) is Fraction
+        assert GaussianRational(x.re, x.im) == x
+        assert hash(GaussianRational(x.re, x.im)) == hash(x)
+
+    @given(rationals, rationals.filter(bool))
+    def test_eq_and_hash_agree_with_int_and_fraction(self, real, imag):
+        x = GaussianRational(real)
+        assert x == real and hash(x) == hash(real)
+        assert len({x, real}) == 1
+        if real.denominator == 1:
+            whole = int(real)
+            assert x == whole and hash(x) == hash(whole)
+        assert GaussianRational(real, imag) != real
 
 
 class TestScalarRing:
