@@ -32,6 +32,10 @@ __all__ = [
     "observable_rhs",
 ]
 
+# Largest order the truncated flows compute.  Each order brackets the
+# previous coefficient once more, whose size grows with the order.
+MAX_FLOW_ORDER = 64
+
 
 class FlowSeries:
     """Truncated Taylor series of an evolving observable.
@@ -87,6 +91,15 @@ class FlowSeries:
         return f"FlowSeries(order={self.order}, {list(self.coefficients)!r})"
 
 
+def _check_order(order):
+    if not isinstance(order, int) or order < 0:
+        raise ValueError("order must be a nonnegative integer")
+    if order > MAX_FLOW_ORDER:
+        raise ValueError(
+            f"flow order {order} exceeds the limit of {MAX_FLOW_ORDER}"
+        )
+
+
 def _assert_hbar_clean(F):
     low = F.min_hbar_exp()
     if low is not None and low < 0:
@@ -116,8 +129,10 @@ def pmb_flow_series(F0, H, order):
 
     coefficient k = (1/k!) (ad_H)^k F0, where ad_H is the pmb bracket
     with ms(H) in the first slot.  It is taken in variant 4 with H as the
-    known pullback of that slot, so no operator is ever pulled back.
+    known pullback of that slot, so no operator is ever pulled back.  An
+    order above MAX_FLOW_ORDER raises ValueError.
     """
+    _check_order(order)
     F0._check_dof(H)
     H_op = ms(H)
     coefficients = [F0]
@@ -129,7 +144,11 @@ def pmb_flow_series(F0, H, order):
 
 
 def classical_flow_series(f0, H, order):
-    """Truncated phase-space flow: coefficient k = (1/k!) {H, .}_PB^k f0."""
+    """Truncated phase-space flow: coefficient k = (1/k!) {H, .}_PB^k f0.
+
+    An order above MAX_FLOW_ORDER raises ValueError.
+    """
+    _check_order(order)
     f0._check_dof(H)
     coefficients = [f0]
     current = f0

@@ -9,7 +9,9 @@ the closed reordering identity
     ph^m qh^n = sum_k k! C(m,k) C(n,k) (-i*hbar)^k  qh^(n-k) ph^(m-k),
 
 min(m, n) + 1 terms, through which every product, adjoint and word is
-brought to normal form.  Coefficients are exact (see scalars).
+brought to normal form.  The kernel weights k! C(m,k) C(n,k) are ints;
+the products sum them per power of (-i*hbar) and apply each power once
+(see polynomial._kernel_terms).  Coefficients are exact (see scalars).
 
 The module also provides the one-parameter family of ordered monomials
 interpolating between the standard (all positions left), antistandard,
@@ -25,7 +27,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .polynomial import SparsePoly, _accumulate, _combine_dof
+from .polynomial import SparsePoly, _kernel_terms
 from .scalars import GaussianRational, Scalar, ONE, _coerce_scalar
 
 __all__ = [
@@ -37,9 +39,10 @@ __all__ = [
     "to_t_basis",
 ]
 
-# Largest total degree sum(n) + sum(m) t_monomial builds.  The formal
-# result has about n*m/2 terms whose coefficients grow with the degree,
-# so time, memory and printed size grow as a high power of it.
+# Largest total degree sum(n) + sum(m) t_monomial builds and to_t_basis
+# expands.  The formal result has about n*m/2 terms whose coefficients
+# grow with the degree, so time, memory and printed size grow as a high
+# power of it.
 MAX_T_DEGREE = 400
 
 # (-i)^k by k mod 4.
@@ -51,26 +54,31 @@ _MINUS_I_POWERS = (
 )
 
 
-def _reorder_weight(k, m, n):
-    """k! C(m,k) C(n,k): the k-th weight of ph^m qh^n, less (-i*hbar)^k."""
-    return math.factorial(k) * math.comb(m, k) * math.comb(n, k)
+@functools.cache
+def _dof_pair(n1, m1, n2, m2):
+    """Kernel of (qh^n1 ph^m1)(qh^n2 ph^m2) within one dof.
+
+    The inner ph^m1 qh^n2 is reordered by the closed form, so the
+    product has min(m1, n2) + 1 terms:
+        sum_k k! C(m1,k) C(n2,k) (-i*hbar)^k  qh^(n1+n2-k) ph^(m1+m2-k).
+    Returns a tuple of (block, k, weight) with the int
+    weight = k! C(m1,k) C(n2,k); the coefficient of block is
+    weight * (-i*hbar)^k (see _reorder_power).
+    """
+    return tuple(
+        (
+            (n1 + n2 - k, m1 + m2 - k),
+            k,
+            math.factorial(k) * math.comb(m1, k) * math.comb(n2, k),
+        )
+        for k in range(min(m1, n2) + 1)
+    )
 
 
 @functools.cache
-def _dof_pair(n1, m1, n2, m2):
-    """Normal form of (qh^n1 ph^m1)(qh^n2 ph^m2) within one dof.
-
-    The inner ph^m1 qh^n2 is reordered by the closed form, so the result
-    has min(m1, n2) + 1 terms:
-        sum_k k! C(m1,k) C(n2,k) (-i*hbar)^k  qh^(n1+n2-k) ph^(m1+m2-k).
-    Returns {(n, m): Scalar}; callers must treat the dict as frozen.
-    """
-    return {
-        (n1 + n2 - k, m1 + m2 - k): Scalar._raw(
-            {(k, 0): _MINUS_I_POWERS[k % 4] * _reorder_weight(k, m1, n2)}
-        )
-        for k in range(min(m1, n2) + 1)
-    }
+def _reorder_power(k):
+    """(-i*hbar)^k, the class power of the reordering kernel."""
+    return Scalar._raw({(k, 0): _MINUS_I_POWERS[k % 4]})
 
 
 class OpPoly(SparsePoly):
@@ -88,16 +96,18 @@ class OpPoly(SparsePoly):
         return cls._raw(dof_count, {((0, 0),) * dof_count: ONE})
 
     def _product(self, other):
-        out = {}
-        for key1, c1 in self._terms.items():
-            for key2, c2 in other._terms.items():
-                weight = c1 * c2
-                partial = {(): ONE}
-                for (n1, m1), (n2, m2) in zip(key1, key2):
-                    partial = _combine_dof(partial, _dof_pair(n1, m1, n2, m2))
-                for key, factor in partial.items():
-                    _accumulate(out, key, weight * factor)
-        return OpPoly._raw(self.dof_count, out)
+        products = (
+            (
+                c1 * c2,
+                [
+                    _dof_pair(n1, m1, n2, m2)
+                    for (n1, m1), (n2, m2) in zip(key1, key2)
+                ],
+            )
+            for key1, c1 in self._terms.items()
+            for key2, c2 in other._terms.items()
+        )
+        return OpPoly._raw(self.dof_count, _kernel_terms(products, _reorder_power))
 
     def dagger(self, s_rule="fix_s"):
         """Adjoint: reverse every word, conjugate coefficients, renormalize.
@@ -105,15 +115,11 @@ class OpPoly(SparsePoly):
         The generators are self-adjoint, so per dof the reversed block is
         ph^m qh^n, which is pushed back to normal order.
         """
-        out = {}
-        for key, coeff in self._terms.items():
-            weight = coeff.conjugate(s_rule)
-            partial = {(): ONE}
-            for n, m in key:
-                partial = _combine_dof(partial, _dof_pair(0, m, n, 0))
-            for new_key, factor in partial.items():
-                _accumulate(out, new_key, weight * factor)
-        return OpPoly._raw(self.dof_count, out)
+        products = (
+            (coeff.conjugate(s_rule), [_dof_pair(0, m, n, 0) for n, m in key])
+            for key, coeff in self._terms.items()
+        )
+        return OpPoly._raw(self.dof_count, _kernel_terms(products, _reorder_power))
 
 
 class OpWord:
@@ -175,36 +181,45 @@ def _exp_vector(value):
             raise ValueError("exponents must be nonnegative")
         return (value,)
     out = tuple(int(v) for v in value)
+    if not out:
+        raise ValueError("exponents must cover at least one dof")
     if any(v < 0 for v in out):
         raise ValueError("exponents must be nonnegative")
     return out
 
 
-def _t_single(n, m):
-    """One-dof ordered monomial as {(a, b): Scalar}, formal parameter.
+@functools.cache
+def _t_power(k):
+    """((1-s)/2)^k (-i*hbar)^k, the class power of the ordered monomials."""
+    weight = _MINUS_I_POWERS[k % 4] * Fraction(1, 2**k)
+    return Scalar._raw(
+        {(k, j): weight * ((-1) ** j * math.comb(k, j)) for j in range(k + 1)}
+    )
 
-    The position-led binomial average
+
+@functools.cache
+def _t_multi(n_vector, m_vector):
+    """Ordered monomial, formal parameter, one kernel per dof.
+
+    Per dof, the position-led binomial average
         2^-n sum_j C(n,j) (1+s)^j (1-s)^(n-j)  qh^j ph^m qh^(n-j)
     and its momentum-led mirror both collapse, through
         sum_j C(n,j) C(n-j,k) (1+s)^j (1-s)^(n-j) = 2^(n-k) C(n,k) (1-s)^k,
     to min(n, m) + 1 terms:
         sum_k k! C(n,k) C(m,k) ((1-s)/2)^k (-i*hbar)^k  qh^(n-k) ph^(m-k).
+    That is the reordering kernel of ph^m qh^n (_dof_pair(0, m, n, 0))
+    with (-i*hbar)^k replaced by _t_power(k).
     """
-    out = {}
-    for k in range(min(n, m) + 1):
-        weight = _MINUS_I_POWERS[k % 4] * Fraction(_reorder_weight(k, m, n), 2**k)
-        out[(n - k, m - k)] = Scalar._raw(
-            {(k, j): weight * ((-1) ** j * math.comb(k, j)) for j in range(k + 1)}
+    kernels = [_dof_pair(0, m, n, 0) for n, m in zip(n_vector, m_vector)]
+    return OpPoly._raw(len(n_vector), _kernel_terms([(ONE, kernels)], _t_power))
+
+
+def _check_t_degree(degree):
+    if degree > MAX_T_DEGREE:
+        raise ValueError(
+            f"ordered monomial of total degree {degree} exceeds the limit "
+            f"of {MAX_T_DEGREE}"
         )
-    return out
-
-
-@functools.cache
-def _t_multi(n_vector, m_vector):
-    partial = {(): ONE}
-    for n, m in zip(n_vector, m_vector):
-        partial = _combine_dof(partial, _t_single(n, m))
-    return OpPoly._raw(len(n_vector), dict(partial))
 
 
 def t_monomial(n, m, form="q", s_value=None):
@@ -224,49 +239,39 @@ def t_monomial(n, m, form="q", s_value=None):
     m_vector = _exp_vector(m)
     if len(n_vector) != len(m_vector):
         raise ValueError("n and m must cover the same dofs")
-    degree = sum(n_vector) + sum(m_vector)
-    if degree > MAX_T_DEGREE:
-        raise ValueError(
-            f"ordered monomial of total degree {degree} exceeds the limit "
-            f"of {MAX_T_DEGREE}"
-        )
+    _check_t_degree(sum(n_vector) + sum(m_vector))
     out = _t_multi(n_vector, m_vector)
     if s_value is not None:
         out = out.substitute(s_value=s_value)
     return out
 
 
-def _t_for_key(key):
-    n_vector = tuple(n for n, _ in key)
-    m_vector = tuple(m for _, m in key)
-    return _t_multi(n_vector, m_vector)
+@functools.cache
+def _t_inverse_power(k):
+    """(-(1-s)/2)^k (-i*hbar)^k, the class power of the inverse expansion."""
+    return _t_power(k) if k % 2 == 0 else -_t_power(k)
 
 
 def to_t_basis(operator, s_value=None):
     """Expand an operator over the ordered-monomial basis.
 
-    Returns {exponent vector: Scalar}.  Each ordered monomial equals its
-    normal-ordered leading term plus lower-total-degree corrections, so
-    peeling coefficients from the top degree downward terminates; hitting
-    an exact zero remainder is the roundtrip guarantee.  s_value, when
-    given, evaluates the expansion coefficients at that ordering.
+    Returns {exponent vector: Scalar}.  The ordered monomials are
+    t(n, m) = exp(c D) qh^n ph^m with c = ((1-s)/2)(-i*hbar) and
+    D qh^n ph^m = n m qh^(n-1) ph^(m-1) (see _t_multi), so each normal
+    ordered monomial inverts in closed form, per dof,
+        qh^n ph^m = sum_k k! C(n,k) C(m,k) (-c)^k  t(n-k, m-k):
+    the kernel of t_monomial with (-1)^k on its class power, taken in one
+    pass over the operator.  s_value, when given, evaluates the
+    expansion coefficients at that ordering.  An operator of total
+    degree above MAX_T_DEGREE raises ValueError.
     """
-    remaining = operator
-    coeffs = {}
-    while remaining:
-        degree = remaining.total_degree()
-        top = [
-            key
-            for key in remaining._terms
-            if sum(n + m for n, m in key) == degree
-        ]
-        for key in top:
-            coeff = remaining._terms[key]
-            coeffs[key] = coeff
-            remaining = remaining - _t_for_key(key) * coeff
-        new_degree = remaining.total_degree()
-        if new_degree is not None and new_degree >= degree:
-            raise AssertionError("basis expansion failed to reduce degree")
+    if operator:
+        _check_t_degree(operator.total_degree())
+    products = (
+        (coeff, [_dof_pair(0, m, n, 0) for n, m in key])
+        for key, coeff in operator.items()
+    )
+    coeffs = _kernel_terms(products, _t_inverse_power)
     if s_value is not None:
         coeffs = {
             key: value

@@ -19,7 +19,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .polynomial import SparsePoly, _accumulate, _combine_dof
+from .polynomial import SparsePoly, _accumulate, _kernel_terms
 from .scalars import (
     Scalar,
     ONE,
@@ -42,6 +42,10 @@ __all__ = [
 # Kernel weights of the star product's two directed pairings.
 _STAR_A = I * HBAR * Fraction(1, 2) * (ONE - S)
 _STAR_B = -(I * HBAR * Fraction(1, 2)) * (ONE + S)
+
+# A kernel class (a, b) travels as the int a + b*_PAIRINGS, so the
+# classes of several dofs add as ints; no count of pairings comes near it.
+_PAIRINGS = 1 << 32
 
 # hbar(1+s)/2 and hbar(1-s)/2, the only ordering-dependent factors of the
 # closed-form deformed structure constants.
@@ -104,56 +108,77 @@ def poisson_bracket(f, g):
 
 @functools.cache
 def _star_single(n, m, k, l):
-    """One-dof star kernel on a monomial pair, as {(a, b): Scalar}.
+    """One-dof star kernel of q^n p^m against q^k p^l.
 
     Expands the terminating exponential of the bidifferential kernel:
-    a counts left-p against right-q pairings (weight _STAR_A), b counts
-    left-q against right-p pairings (weight _STAR_B), with falling
-    factorials for the repeated derivatives.
+    a counts left-p against right-q pairings (weight A = _STAR_A), b
+    counts left-q against right-p pairings (weight B = _STAR_B).  The
+    falling factorials of the repeated derivatives over a! b! leave the
+    int weight C(m,a) perm(k,a) C(n,b) perm(l,b), so the term is
+        C(m,a) perm(k,a) C(n,b) perm(l,b) A^a B^b  q^(n+k-a-b) p^(m+l-a-b).
+    Returns a tuple of (block, a + b*_PAIRINGS, weight).
     """
-    out = {}
-    for a in range(min(m, k) + 1):
-        for b in range(min(n, l) + 1):
-            weight = (
-                _STAR_A**a
-                * _STAR_B**b
-                * Fraction(
-                    math.perm(n, b) * math.perm(m, a)
-                    * math.perm(k, a) * math.perm(l, b),
-                    math.factorial(a) * math.factorial(b),
-                )
-            )
-            key = (n - b + k - a, m - a + l - b)
-            _accumulate(out, key, weight)
-    return out
+    return tuple(
+        (
+            (n + k - a - b, m + l - a - b),
+            a + b * _PAIRINGS,
+            math.comb(m, a) * math.perm(k, a) * math.comb(n, b) * math.perm(l, b),
+        )
+        for a in range(min(m, k) + 1)
+        for b in range(min(n, l) + 1)
+    )
+
+
+@functools.cache
+def _star_power(pairings):
+    """A^a B^b for the class a + b*_PAIRINGS."""
+    b, a = divmod(pairings, _PAIRINGS)
+    return _STAR_A**a * _STAR_B**b
+
+
+@functools.cache
+def _moyal_power(pairings):
+    """A^a B^b - A^b B^a for the class a + b*_PAIRINGS; zero when a == b."""
+    b, a = divmod(pairings, _PAIRINGS)
+    return _star_power(pairings) - _star_power(b + a * _PAIRINGS)
+
+
+def _star_terms(f, g, class_power):
+    f._check_dof(g)
+    products = (
+        (
+            c1 * c2,
+            [_star_single(n, m, k, l) for (n, m), (k, l) in zip(key1, key2)],
+        )
+        for key1, c1 in f._terms.items()
+        for key2, c2 in g._terms.items()
+    )
+    return PhasePoly._raw(f.dof_count, _kernel_terms(products, class_power))
 
 
 def star_product(f, g):
     """Deformed product; associative, with 1 as two-sided identity.
 
     Multi-dof inputs apply the kernel diagonally per dof (each dof pairs
-    only with itself) and the per-dof factors multiply.
+    only with itself); the per-dof weights multiply and the pairing
+    counts add.
     """
-    f._check_dof(g)
-    out = {}
-    for key1, c1 in f._terms.items():
-        for key2, c2 in g._terms.items():
-            weight = c1 * c2
-            partial = {(): ONE}
-            for (n, m), (k, l) in zip(key1, key2):
-                partial = _combine_dof(partial, _star_single(n, m, k, l))
-            for key, factor in partial.items():
-                _accumulate(out, key, weight * factor)
-    return PhasePoly._raw(f.dof_count, out)
+    return _star_terms(f, g, _star_power)
 
 
 def moyal_bracket(f, g):
-    """Star commutator: star(f, g) - star(g, f).
+    """Star commutator: star(f, g) - star(g, f), in one pass.
+
+    Swapping the arguments swaps the two pairings of every dof at the
+    same int weight, since C(m,a) perm(k,a) = C(k,a) perm(m,a): star(g, f)
+    has the (key, a, b) sums of star(f, g) with A^b B^a in place of
+    A^a B^b.  So the bracket is one pass with class power
+    A^a B^b - A^b B^a, in which the classes with a == b drop out.
 
     Always divisible by hbar; dividing by i*hbar and letting hbar go to
     zero recovers the Poisson bracket (see classical_limit_bracket).
     """
-    return star_product(f, g) - star_product(g, f)
+    return _star_terms(f, g, _moyal_power)
 
 
 def winf_pb_structure(n, m, k, l):

@@ -8,6 +8,11 @@ how two polynomials multiply, so each subclass supplies _product (and
 what only its algebra has, such as adjoint or derivative) and the rest
 lives here.  Values of different subclasses never mix: they compare
 unequal and refuse to add or multiply.
+
+The operator product, the adjoint, the ordered monomials and their
+inverse, the star product and the Moyal bracket all factor per dof into
+kernels with integer weights, and all run through the one loop
+_kernel_terms.
 """
 
 from .scalars import ONE, _coerce_scalar
@@ -22,12 +27,34 @@ def _accumulate(terms, key, coeff):
         del terms[key]
 
 
-def _combine_dof(partial, factor):
-    # Tensor step: extend every accumulated key by one dof's (n, m) block.
+def _kernel_terms(products, class_power):
+    """Sum of products whose per-dof factors are integer-weighted kernels.
+
+    products yields (coeff, kernels): a Scalar and one kernel per dof,
+    each a sequence of (block, cls, weight) with int cls and weight.
+    Picking one entry per dof gives the term
+        coeff * prod(weight) * class_power(sum(cls))
+    at the concatenated blocks.  The combinatorics stay in ints: the
+    weights of one product are summed per (key, class) before one
+    Scalar-by-int multiplication, and each (key, class) total meets its
+    class's Scalar once at the end.  Returns {key: Scalar}.
+    """
+    sums = {}
+    for coeff, kernels in products:
+        kernels = iter(kernels)
+        partial = {((block,), cls): weight for block, cls, weight in next(kernels)}
+        for kernel in kernels:
+            grown = {}
+            for (key, cls), weight in partial.items():
+                for block, c, w in kernel:
+                    slot = (key + (block,), cls + c)
+                    grown[slot] = grown.get(slot, 0) + weight * w
+            partial = grown
+        for slot, weight in partial.items():
+            _accumulate(sums, slot, coeff if weight == 1 else coeff * weight)
     out = {}
-    for pkey, pco in partial.items():
-        for block, fco in factor.items():
-            out[pkey + (block,)] = pco * fco
+    for (key, cls), total in sums.items():
+        _accumulate(out, key, total * class_power(cls))
     return out
 
 

@@ -4,7 +4,18 @@ The primitive is the two-sided multiplication map
 
     t_super_apply: F -> (1 + sigma*s) A F + (1 - sigma*s) F A
 
-for a generator A and a sign choice sigma.  Position generators enter
+for a generator A and a sign choice sigma, in closed form on the normal
+ordered basis.  Within the generator's dof, qh raises n from either
+side, and qh^n ph^m qh also lowers m:
+
+    qh * F = qh^(n+1) ph^m
+    F * qh = qh^(n+1) ph^m + m (-i*hbar) qh^n ph^(m-1)
+    ph * F = qh^n ph^(m+1) + n (-i*hbar) qh^(n-1) ph^m
+    F * ph = qh^n ph^(m+1)
+
+so the map is twice the raised term plus the lowered term times
+(1 - sigma*s) m (-i*hbar) for qh, or (1 + sigma*s) n (-i*hbar) for ph:
+one pass over F, no operator product.  Position generators enter
 with sigma=+1 and momentum generators with sigma=-1 in the normalized
 ordering superoperator, whose action on the identity produces the
 ordered monomials.  Summing ordering superoperators with the
@@ -19,11 +30,13 @@ On top of that sit two derived structures taking operator arguments:
                     computable in four equivalent ways (variant 1..4)
 """
 
+import functools
 from fractions import Fraction
 
 from .operators import OpPoly, _exp_vector, commutator
 from .phase import PhasePoly
-from .scalars import ONE, S, I_OVER_HBAR, NEG_I_OVER_HBAR, NegativeHbarPower
+from .polynomial import _accumulate
+from .scalars import HBAR, I, ONE, S, I_OVER_HBAR, NEG_I_OVER_HBAR, NegativeHbarPower
 from .wwgm import ms, ms_inverse
 
 __all__ = [
@@ -37,30 +50,64 @@ __all__ = [
     "pmb_functions",
 ]
 
-_ONE_PLUS_S = ONE + S
-_ONE_MINUS_S = ONE - S
+
+def _generator_tag(gen):
+    """Split a generator tag: 'q', 'p', or ('q'|'p', dof_index)."""
+    if isinstance(gen, str):
+        return gen, 0
+    return gen
 
 
 def _generator_of(gen, dof_count):
-    """Resolve a generator tag: 'q', 'p', or ('q'|'p', dof_index)."""
-    if isinstance(gen, str):
-        kind, dof_index = gen, 0
-    else:
-        kind, dof_index = gen
+    kind, dof_index = _generator_tag(gen)
     return OpPoly.generator(kind, dof_index, dof_count)
+
+
+@functools.cache
+def _lowering_weight(kind, sigma, count):
+    """Coefficient of the lowered term: count (1 -+ sigma*s) (-i*hbar).
+
+    The sign is minus for qh, whose lowering comes from F * qh, and plus
+    for ph, whose lowering comes from ph * F.
+    """
+    sign = -sigma if kind == "q" else sigma
+    return (ONE + S * sign) * (-I * HBAR) * count
 
 
 def t_super_apply(gen, sigma, F):
     """Two-sided multiplication by a generator with s-dependent weights.
 
-    sigma must be +1 or -1 and flips the sign of s in the weights.
+    (1 + sigma*s) A F + (1 - sigma*s) F A for A = qh_i or ph_i, taken in
+    one pass over F by the closed form in the module docstring: each
+    term gives 2 F at the raised block and, when the lowered exponent
+    count is nonzero, count (1 -+ sigma*s) (-i*hbar) F at the lowered
+    block.  sigma must be +1 or -1 and flips the sign of s in the
+    weights.
     """
     if sigma not in (1, -1):
         raise ValueError("sigma must be +1 or -1")
-    A = _generator_of(gen, F.dof_count)
-    left = _ONE_PLUS_S if sigma == 1 else _ONE_MINUS_S
-    right = _ONE_MINUS_S if sigma == 1 else _ONE_PLUS_S
-    return A * F * left + F * A * right
+    kind, index = _generator_tag(gen)
+    if kind not in ("q", "p"):
+        raise ValueError(f"kind must be 'q' or 'p', got {kind!r}")
+    if not 0 <= index < F.dof_count:
+        raise IndexError("dof_index out of range")
+    out = {}
+    for key, coeff in F.items():
+        n, m = key[index]
+        before = key[:index]
+        after = key[index + 1:]
+        if kind == "q":
+            raised, lowered, count = (n + 1, m), (n, m - 1), m
+        else:
+            raised, lowered, count = (n, m + 1), (n - 1, m), n
+        _accumulate(out, before + (raised,) + after, coeff * 2)
+        if count:
+            _accumulate(
+                out,
+                before + (lowered,) + after,
+                coeff * _lowering_weight(kind, sigma, count),
+            )
+    return OpPoly._raw(F.dof_count, out)
 
 
 def _dof_exponents(value, dof_count):

@@ -5,7 +5,8 @@ rewrite rule ph*qh = qh*ph - i*hbar and deliberately share no code with
 the package: the random-order oracle picks WHICH out-of-order pair to
 rewrite at random (the library folds words left to right through the
 closed reordering identity), so agreement across many draws is evidence
-the normal form is unique.
+the normal form is unique.  GOLDEN_ALL_42 pins the bytes of one full
+conformance report.
 """
 
 import math
@@ -16,6 +17,10 @@ from weylforge import GaussianRational, OpPoly, Scalar
 
 MINUS_I_HBAR = Scalar.term(1, 0, GaussianRational(0, -1))
 
+# SHA-256 of the stdout of `weylforge check --suite all --format json
+# --seed 42`, trailing newline included.
+GOLDEN_ALL_42 = "d12c3e11c198a272c8266f251ffd73826baae07e450943828530b6f5e4831ad6"
+
 # Canonical letter order: sort by dof, positions before momenta.
 _RANK = {"q": 0, "p": 1}
 
@@ -25,11 +30,12 @@ def _sort_key(letter):
     return (dof_index, _RANK[kind])
 
 
-def oracle_normalize(letters, rng, coeff=None):
+def oracle_normalize(letters, rng, coeff=None, dof_count=None):
     """Normal-form an operator word by randomized rewriting.
 
     letters is a sequence of ('q'|'p', dof_index) pairs read left to
-    right as an operator product.  Returns the OpPoly it equals.
+    right as an operator product.  Returns the OpPoly it equals, over
+    dof_count dofs (by default one more than the largest index used).
     """
     words = {tuple(letters): coeff if coeff is not None else Scalar.constant(1)}
     while True:
@@ -58,7 +64,8 @@ def oracle_normalize(letters, rng, coeff=None):
             words[dropped] = words.get(dropped, Scalar.constant(0)) + extra
             if not words[dropped]:
                 del words[dropped]
-    dof_count = max((index for _, index in letters), default=0) + 1
+    if dof_count is None:
+        dof_count = max((index for _, index in letters), default=0) + 1
     out = OpPoly.zero(dof_count)
     for word, weight in words.items():
         exponents = [[0, 0] for _ in range(dof_count)]

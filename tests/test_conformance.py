@@ -8,9 +8,7 @@ import pytest
 from weylforge import cli, conformance, render
 from weylforge.conformance import SUITES, run_suite
 
-# SHA-256 of the stdout of `weylforge check --suite all --format json
-# --seed 42`, trailing newline included.
-GOLDEN_ALL_42 = "d12c3e11c198a272c8266f251ffd73826baae07e450943828530b6f5e4831ad6"
+from helpers import GOLDEN_ALL_42
 
 # Every numbered statement the registry promises to exercise.
 REQUIRED_ANCHORS = {

@@ -1,6 +1,7 @@
 """Motion equations and truncated flows on both sides of the map."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,8 @@ from weylforge import (
     pmb,
     pmb_flow_series,
 )
+from weylforge.cli import run_command
+from weylforge.dynamics import MAX_FLOW_ORDER
 from weylforge.sampling import random_phase_poly
 
 QH = OpPoly.generator("q")
@@ -111,6 +114,34 @@ class TestHamiltonRhs:
 
 
 class TestFlows:
+    def test_order_limit(self):
+        assert MAX_FLOW_ORDER == 64
+        H = P * P * Fraction(1, 2) + Q * Q * Fraction(1, 2)
+        for order in (MAX_FLOW_ORDER + 1, 10**6):
+            with pytest.raises(ValueError, match="limit of 64"):
+                pmb_flow_series(QH, H, order)
+            with pytest.raises(ValueError, match="limit of 64"):
+                classical_flow_series(Q, H, order)
+        assert classical_flow_series(Q, H, MAX_FLOW_ORDER).order == 64
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [
+                "evolve", "--observable", "q", "--hamiltonian", "(q^2+p^2)/2",
+                "--order", "1000000",
+            ],
+            ["eval", "evolve(qh, (q^2+p^2)/2, 1000000)"],
+            ["eval", "evolve(q, (q^2+p^2)/2, 65)"],
+        ],
+    )
+    def test_cli_refuses_a_huge_order_at_once(self, argv):
+        start = time.perf_counter()
+        code, out = run_command(argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert "limit of 64" in out
+
     def test_oscillator_operator_flow(self):
         """Position under the oscillator cycles through the generator
         pair with alternating signs and 1/k! weights."""

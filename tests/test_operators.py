@@ -16,6 +16,7 @@ from weylforge import (
     OpWord,
     Scalar,
     commutator,
+    ms_inverse,
     normalize,
     t_monomial,
     to_t_basis,
@@ -162,6 +163,10 @@ class TestOrderedMonomials:
     def test_unknown_form_rejected(self):
         with pytest.raises(ValueError):
             t_monomial(1, 1, form="x")
+
+    def test_no_dofs_rejected(self):
+        with pytest.raises(ValueError, match="at least one dof"):
+            t_monomial([], [])
 
     def test_multi_dof_factorizes(self):
         one = t_monomial(2, 1)
@@ -354,3 +359,24 @@ class TestDegreeLimit:
         code, out = run_command(["eval", "t(300, 300)"])
         assert code == 2
         assert "limit of 400" in out
+
+    def test_basis_expansion_is_limited_too(self):
+        start = time.perf_counter()
+        code, out = run_command(["eval", "msinv(qh^250*ph^250)"])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert "limit of 400" in out
+        F = OpPoly.monomial([(200, 1), (0, 200)])
+        with pytest.raises(ValueError, match="exceeds the limit of 400"):
+            to_t_basis(F)
+        with pytest.raises(ValueError, match="exceeds the limit of 400"):
+            ms_inverse(F)
+
+    def test_basis_expansion_at_the_limit(self):
+        # One closed-form pass, where peeling one ordered monomial at a
+        # time ran for minutes.
+        start = time.perf_counter()
+        coeffs = to_t_basis(OpPoly.monomial([(200, 200)]))
+        assert time.perf_counter() - start < 10
+        assert len(coeffs) == 201
+        assert coeffs[((200, 200),)] == ONE
