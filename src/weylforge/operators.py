@@ -210,8 +210,19 @@ def _t_multi(n_vector, m_vector):
     That is the reordering kernel of ph^m qh^n (_dof_pair(0, m, n, 0))
     with (-i*hbar)^k replaced by _t_power(k).
     """
-    kernels = [_dof_pair(0, m, n, 0) for n, m in zip(n_vector, m_vector)]
-    return OpPoly._raw(len(n_vector), _kernel_terms([(ONE, kernels)], _t_power))
+    return _from_t_basis(len(n_vector), [(tuple(zip(n_vector, m_vector)), ONE)])
+
+
+def _from_t_basis(dof_count, terms):
+    """The operator sum of coeff * t(key) over (key, coeff) pairs.
+
+    The inverse of to_t_basis, in one kernel pass over the terms: each
+    ordered monomial is the kernel of _t_multi.
+    """
+    products = (
+        (coeff, [_dof_pair(0, m, n, 0) for n, m in key]) for key, coeff in terms
+    )
+    return OpPoly._raw(dof_count, _kernel_terms(products, _t_power))
 
 
 def _check_t_degree(degree):

@@ -196,10 +196,7 @@ class GaussianRational:
         if not isinstance(exponent, int):
             raise ValueError("GaussianRational powers must be integers")
         base = self if exponent >= 0 else _new(1, 0, 1) / self
-        out = _new(1, 0, 1)
-        for _ in range(abs(exponent)):
-            out = out * base
-        return out
+        return _power(_new(1, 0, 1), base, abs(exponent))
 
     def conjugate(self):
         return _new(self._a, -self._b, self._d)
@@ -209,6 +206,19 @@ class GaussianRational:
 
 
 _new = GaussianRational._raw
+
+
+def _power(one, base, exponent):
+    """base**exponent for a nonnegative int exponent, by repeated squaring:
+    one multiplication per bit and one per set bit, not one per unit."""
+    out = one
+    while exponent:
+        if exponent & 1:
+            out = out * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return out
 
 
 def _reduced(a, b, d):
@@ -373,10 +383,7 @@ class Scalar:
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("Scalar powers must be nonnegative integers")
-        out = ONE
-        for _ in range(exponent):
-            out = out * self
-        return out
+        return _power(ONE, self, exponent)
 
     def conjugate(self, s_rule="fix_s"):
         """Complex conjugation, with a declared convention for formal s.

@@ -28,13 +28,30 @@ On top of that sit two derived structures taking operator arguments:
                     multiplication under the ordering map
     pmb(F, G)       Lie bracket, the image of the Poisson bracket,
                     computable in four equivalent ways (variant 1..4)
+
+The paper's central result is that the ordering map ms is an
+isomorphism carrying pointwise multiplication and the Poisson bracket
+onto these two.  Production therefore takes its consequences, each a
+kernel pass or two through ms and ms_inverse:
+
+    Liouvillian(f)(F) = ms(f * ms_inverse(F))
+    diamond(F, G)     = ms(ms_inverse(F) * ms_inverse(G))
+    pmb(F, G)         = ms(PB(ms_inverse(F), ms_inverse(G)))
+
+The paper's definitions stay as references the conformance checks and
+tests hold these against: t_super_apply and ordering_super_apply (and
+_liouvillian_by_definition, their coefficient-weighted sum) for the
+Liouvillian, and the four superoperator expressions, selected by
+pmb(F, G, variant=1..4), for the bracket.  Since they pass through
+ms and ms_inverse, all three closed forms refuse an operand or result
+of total degree above operators.MAX_T_DEGREE (ValueError).
 """
 
 import functools
 from fractions import Fraction
 
 from .operators import OpPoly, _exp_vector, commutator
-from .phase import PhasePoly
+from .phase import PhasePoly, poisson_bracket
 from .polynomial import _accumulate
 from .scalars import HBAR, I, ONE, S, I_OVER_HBAR, NEG_I_OVER_HBAR, NegativeHbarPower
 from .wwgm import ms, ms_inverse
@@ -141,11 +158,29 @@ def ordering_super_apply(n, m, F):
     return out
 
 
+def _liouvillian_by_definition(f, F):
+    """The paper's Liouvillian: sum over the monomials of f of the
+    coefficient times the ordering superoperator of their exponents.
+
+    The reference Liouvillian.apply is checked against; production uses
+    the closed form.
+    """
+    f._check_dof(F)
+    out = OpPoly.zero(F.dof_count)
+    for key, coeff in f.items():
+        n_vec = tuple(n for n, _ in key)
+        m_vec = tuple(m for _, m in key)
+        out = out + ordering_super_apply(n_vec, m_vec, F) * coeff
+    return out
+
+
 class Liouvillian:
     """The superoperator attached to a phase-space polynomial.
 
-    Acts linearly: each monomial of the source contributes its ordering
-    superoperator, weighted by the coefficient.  Liouvillians commute:
+    Defined linearly: each monomial of the source contributes its
+    ordering superoperator, weighted by the coefficient (see
+    _liouvillian_by_definition).  apply takes the closed form
+    ms(source * ms_inverse(F)) instead.  Liouvillians commute:
     L(f)L(g) = L(g)L(f) on every operand.
     """
 
@@ -158,12 +193,7 @@ class Liouvillian:
 
     def apply(self, F):
         self.source._check_dof(F)
-        out = OpPoly.zero(F.dof_count)
-        for key, coeff in self.source.items():
-            n_vec = tuple(n for n, _ in key)
-            m_vec = tuple(m for _, m in key)
-            out = out + ordering_super_apply(n_vec, m_vec, F) * coeff
-        return out
+        return ms(self.source * ms_inverse(F))
 
     __call__ = apply
 
@@ -186,12 +216,15 @@ def ad_apply(gen, F):
 
 
 def diamond(F, G):
-    """Commutative product on operators: apply the Liouvillian of the
-    pullback of G to F.  Symmetric in its arguments, and its pullback is
-    the pointwise product of the pullbacks.
+    """Commutative product on operators.
+
+    Defined as the Liouvillian of the pullback of G applied to F, and
+    taken in closed form as ms(ms_inverse(F) * ms_inverse(G)).
+    Symmetric in its arguments, and its pullback is the pointwise
+    product of the pullbacks.
     """
     F._check_dof(G)
-    return liouvillian_apply(ms_inverse(G), F)
+    return ms(ms_inverse(F) * ms_inverse(G))
 
 
 def _pmb_impl(F, G, f, g, variant):
@@ -228,7 +261,10 @@ def _pmb_impl(F, G, f, g, variant):
             out = out + liouvillian_apply(f.derivative("q", i), ad_apply(("q", i), G))
             out = out + liouvillian_apply(f.derivative("p", i), ad_apply(("p", i), G))
     scale = NEG_I_OVER_HBAR if variant in (1, 2) else I_OVER_HBAR
-    out = out * scale
+    return _assert_no_inverse_hbar(out * scale)
+
+
+def _assert_no_inverse_hbar(out):
     low = out.min_hbar_exp()
     if low is not None and low < 0:
         raise NegativeHbarPower(
@@ -237,21 +273,30 @@ def _pmb_impl(F, G, f, g, variant):
     return out
 
 
-def pmb(F, G, variant=1):
+def pmb(F, G, variant=None):
     """Lie bracket on operators mirroring the Poisson bracket.
 
-    Pullbacks of F and G are computed internally as the chosen variant
-    requires.  All four variants agree; the result never carries
-    negative powers of hbar (asserted).
+    By default the closed form ms(PB(ms_inverse(F), ms_inverse(G)));
+    variant=1..4 selects one of the paper's four superoperator
+    expressions instead (see _pmb_impl).  All five agree; the result
+    never carries negative powers of hbar (asserted).
     """
-    return _pmb_impl(F, G, None, None, variant)
+    if variant is not None:
+        return _pmb_impl(F, G, None, None, variant)
+    F._check_dof(G)
+    return _assert_no_inverse_hbar(
+        ms(poisson_bracket(ms_inverse(F), ms_inverse(G)))
+    )
 
 
-def pmb_functions(f, g, variant=1):
+def pmb_functions(f, g, variant=None):
     """Same bracket, entered from the commutative side.
 
     Takes the phase-space polynomials directly, skipping the inverse
-    map; returns the operator-side bracket of ms(f) and ms(g).
+    map; returns the operator-side bracket of ms(f) and ms(g), by
+    default as ms(PB(f, g)).
     """
     f._check_dof(g)
-    return _pmb_impl(ms(f), ms(g), f, g, variant)
+    if variant is not None:
+        return _pmb_impl(ms(f), ms(g), f, g, variant)
+    return _assert_no_inverse_hbar(ms(poisson_bracket(f, g)))

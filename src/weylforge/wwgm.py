@@ -10,10 +10,17 @@ the two sides:
     ms({f, g}_MB)  = -commutator(ms(f), ms(g))
 
 The second line is the anti-homomorphism checked by antihom_check; the
-first is verified where the operator bracket lives (see superops.pmb).
+first is how superops.pmb computes the operator bracket by default, and
+is checked there against the paper's four superoperator forms.
 """
 
-from .operators import OpPoly, commutator, t_monomial, to_t_basis
+from .operators import (
+    OpPoly,
+    _check_t_degree,
+    _from_t_basis,
+    commutator,
+    to_t_basis,
+)
 from .phase import PhasePoly, moyal_bracket
 from .scalars import I_OVER_HBAR, NEG_I_OVER_HBAR
 
@@ -29,15 +36,16 @@ __all__ = [
 def ms(f, s_value=None):
     """Map a commutative polynomial to its ordered operator counterpart.
 
-    Coefficients pass through unchanged.  With s_value given, the
-    ordering parameter is substituted in the result (equivalently,
-    before the map: substitution commutes with it).
+    Coefficients pass through unchanged.  The image is taken in one
+    kernel pass over f (operators._from_t_basis), the mirror of
+    to_t_basis.  With s_value given, the ordering parameter is
+    substituted in the result (equivalently, before the map:
+    substitution commutes with it).  A term of total degree above
+    MAX_T_DEGREE raises ValueError.
     """
-    out = OpPoly.zero(f.dof_count)
-    for key, coeff in f.items():
-        n_vector = tuple(n for n, _ in key)
-        m_vector = tuple(m for _, m in key)
-        out = out + t_monomial(n_vector, m_vector) * coeff
+    if f:
+        _check_t_degree(f.total_degree())
+    out = _from_t_basis(f.dof_count, f.items())
     if s_value is not None:
         out = out.substitute(s_value=s_value)
     return out

@@ -6,14 +6,17 @@ the package: the random-order oracle picks WHICH out-of-order pair to
 rewrite at random (the library folds words left to right through the
 closed reordering identity), so agreement across many draws is evidence
 the normal form is unique.  GOLDEN_ALL_42 pins the bytes of one full
-conformance report.
+conformance report.  The *_by_definition helpers spell out a paper
+definition the library takes in closed form, from the library's
+reference paths, for the tests to hold the closed form against.
 """
 
 import math
 import random
 from fractions import Fraction
 
-from weylforge import GaussianRational, OpPoly, Scalar
+from weylforge import GaussianRational, OpPoly, Scalar, ms_inverse
+from weylforge.superops import _liouvillian_by_definition
 
 MINUS_I_HBAR = Scalar.term(1, 0, GaussianRational(0, -1))
 
@@ -113,6 +116,12 @@ def oracle_t_averages(n, m, rng):
         letters = [p] * k + [q] * n + [p] * (m - k)
         momentum_led = momentum_led + oracle_normalize(letters, rng, weight)
     return position_led, momentum_led
+
+
+def diamond_by_definition(F, G):
+    """diamond(F, G) as the paper defines it: the Liouvillian of the
+    pullback of G, summed from ordering superoperators, applied to F."""
+    return _liouvillian_by_definition(ms_inverse(G), F)
 
 
 def random_letters(rng, length, dof_count=1):

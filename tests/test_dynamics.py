@@ -5,6 +5,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from weylforge import (
     HBAR,
@@ -23,8 +25,10 @@ from weylforge import (
     pmb_flow_series,
 )
 from weylforge.cli import run_command
-from weylforge.dynamics import MAX_FLOW_ORDER
+from weylforge.dynamics import MAX_FLOW_ORDER, _pmb_flow_by_definition
 from weylforge.sampling import random_phase_poly
+
+from strategies import same_dof
 
 QH = OpPoly.generator("q")
 PH = OpPoly.generator("p")
@@ -177,11 +181,24 @@ class TestFlows:
         for _ in range(15):
             f0 = random_phase_poly(rng, max_total=3, max_terms=2)
             H = random_phase_poly(rng, max_total=3, max_terms=2)
-            op_side = pmb_flow_series(ms(f0), H, 3)
+            op_side = _pmb_flow_by_definition(ms(f0), H, 3)
             classical = classical_flow_series(f0, H, 3)
             assert op_side.map_coefficients(ms_inverse) == FlowSeries(
                 3, list(classical)
             )
+
+    # The closed form raises NegativeHbarPower exactly when a step of the
+    # iterated bracket does.
+    @given(same_dof(OpPoly, PhasePoly, max_terms=2), st.integers(0, 4))
+    def test_flow_matches_iterated_variant_four(self, pair, order):
+        F0, H = pair
+        try:
+            want = _pmb_flow_by_definition(F0, H, order)
+        except NegativeHbarPower:
+            with pytest.raises(NegativeHbarPower):
+                pmb_flow_series(F0, H, order)
+        else:
+            assert pmb_flow_series(F0, H, order) == want
 
     def test_energy_is_stationary(self):
         H = mechanical([(((3, 0),), Scalar.constant(Fraction(1, 3)))])
@@ -252,8 +269,8 @@ class TestObservableRhs:
                         1, {key: c for key, c in g.items() if key[0][0] == 0}
                     )
                     Fdot, Gdot = observable_rhs(f, g, H)
-                    assert Fdot == pmb(Hop, ms(f))
-                    assert Gdot == pmb(Hop, ms(g))
+                    assert Fdot == pmb(Hop, ms(f), 1)
+                    assert Gdot == pmb(Hop, ms(g), 1)
 
     def test_two_dof(self):
         H = mechanical(
@@ -262,8 +279,8 @@ class TestObservableRhs:
         f = PhasePoly.monomial([(1, 0), (1, 0)])
         g = PhasePoly.monomial([(0, 1), (0, 1)])
         Fdot, Gdot = observable_rhs(f, g, H)
-        assert Fdot == pmb(ms(H), ms(f))
-        assert Gdot == pmb(ms(H), ms(g))
+        assert Fdot == pmb(ms(H), ms(f), 1)
+        assert Gdot == pmb(ms(H), ms(g), 1)
 
     def test_argument_validation(self):
         H = oscillator()

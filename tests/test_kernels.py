@@ -9,7 +9,6 @@ and the ms round trips ride along.
 """
 
 import random
-from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,11 +16,9 @@ from hypothesis import strategies as st
 from weylforge import (
     ONE,
     S,
-    GaussianRational,
     OpPoly,
     OpWord,
     PhasePoly,
-    Scalar,
     moyal_bracket,
     ms,
     ms_inverse,
@@ -32,35 +29,7 @@ from weylforge import (
 )
 
 from helpers import oracle_normalize
-
-_small = st.integers(-3, 3)
-_gaussians = st.builds(
-    lambda a, b, d: GaussianRational(Fraction(a, d), Fraction(b, d)),
-    _small,
-    _small,
-    st.integers(1, 3),
-)
-
-
-def _scalars(min_hbar):
-    exponents = st.tuples(st.integers(min_hbar, 2), st.integers(0, 2))
-    return st.dictionaries(exponents, _gaussians, min_size=1, max_size=2).map(
-        Scalar
-    )
-
-
-def _polys(cls, dof_count, max_exp=2, max_terms=3, min_hbar=-2):
-    block = st.tuples(st.integers(0, max_exp), st.integers(0, max_exp))
-    key = st.tuples(*[block] * dof_count)
-    terms = st.dictionaries(key, _scalars(min_hbar), max_size=max_terms)
-    return terms.map(lambda t: cls(dof_count, t))
-
-
-@st.composite
-def _same_dof(draw, cls, count, max_dof=3, **kwargs):
-    """count polynomials of one class over one drawn dof count."""
-    dof_count = draw(st.integers(1, max_dof))
-    return tuple(draw(_polys(cls, dof_count, **kwargs)) for _ in range(count))
+from strategies import same_dof
 
 
 def _word(key):
@@ -72,12 +41,12 @@ def _word(key):
 
 
 class TestAgainstDefinitions:
-    @given(_same_dof(PhasePoly, 2))
+    @given(same_dof(PhasePoly, PhasePoly))
     def test_moyal_is_the_star_commutator(self, pair):
         f, g = pair
         assert moyal_bracket(f, g) == star_product(f, g) - star_product(g, f)
 
-    @given(_same_dof(OpPoly, 1))
+    @given(same_dof(OpPoly))
     def test_t_super_is_two_sided_multiplication(self, single):
         (F,) = single
         for index in range(F.dof_count):
@@ -89,7 +58,7 @@ class TestAgainstDefinitions:
                     got = t_super_apply((kind, index), sigma, F)
                     assert got == left + right
 
-    @given(_same_dof(OpPoly, 2))
+    @given(same_dof(OpPoly, OpPoly))
     def test_product_is_the_normal_form_of_concatenated_words(self, pair):
         F, G = pair
         dof_count = F.dof_count
@@ -108,14 +77,14 @@ class TestAgainstDefinitions:
         assert F * G == folded
         assert F * G == rewritten
 
-    @given(_same_dof(OpPoly, 2), st.sampled_from(["fix_s", "negate_s"]))
+    @given(same_dof(OpPoly, OpPoly), st.sampled_from(["fix_s", "negate_s"]))
     def test_dagger_reverses_products(self, pair, s_rule):
         F, G = pair
         assert (F * G).dagger(s_rule) == G.dagger(s_rule) * F.dagger(s_rule)
 
 
 class TestLieAxioms:
-    @given(_same_dof(PhasePoly, 3, max_dof=2, max_terms=2))
+    @given(same_dof(PhasePoly, PhasePoly, PhasePoly, max_dof=2, max_terms=2))
     def test_moyal_bracket(self, triple):
         f, g, h = triple
         assert moyal_bracket(f, g) == -moyal_bracket(g, f)
@@ -129,7 +98,7 @@ class TestLieAxioms:
     # pmb refuses a result with an inverse power of hbar, so its inputs
     # carry none.
     @settings(max_examples=40)
-    @given(_same_dof(OpPoly, 3, max_dof=2, max_terms=2, min_hbar=0))
+    @given(same_dof(OpPoly, OpPoly, OpPoly, max_dof=2, max_terms=2, min_hbar=0))
     def test_pmb(self, triple):
         F, G, H = triple
         assert pmb(F, G) == -pmb(G, F)
@@ -138,12 +107,12 @@ class TestLieAxioms:
 
 
 class TestRoundTrips:
-    @given(_same_dof(PhasePoly, 1))
+    @given(same_dof(PhasePoly))
     def test_ms_inverse_undoes_ms(self, single):
         (f,) = single
         assert ms_inverse(ms(f)) == f
 
-    @given(_same_dof(OpPoly, 1))
+    @given(same_dof(OpPoly))
     def test_ms_undoes_ms_inverse(self, single):
         (F,) = single
         assert ms(ms_inverse(F)) == F

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from weylforge import (
     NegativeHbarPower,
     Scalar,
 )
+from weylforge.cli import run_command
 from weylforge.sampling import random_gaussian, random_scalar
 
 
@@ -220,6 +222,46 @@ class TestScalarRing:
         assert NEG_I_OVER_HBAR * I * HBAR == ONE
         assert I_OVER_HBAR + NEG_I_OVER_HBAR == ZERO
         assert NEG_I_OVER_HBAR * HBAR == -I
+
+
+class TestPowers:
+    """Powers by repeated squaring equal repeated multiplication."""
+
+    @given(gaussians, st.integers(0, 40))
+    def test_gaussian_power_is_repeated_product(self, x, n):
+        want = GaussianRational(1)
+        for _ in range(n):
+            want = want * x
+        assert x**n == want
+        assert_canonical(x**n)
+        if x:
+            assert x ** (-n) * want == 1
+
+    def test_scalar_power_is_repeated_product(self):
+        rng = random.Random(203)
+        for _ in range(40):
+            a = random_scalar(rng, max_hbar=2, max_s=2)
+            want = ONE
+            for n in range(12):
+                assert a**n == want
+                want = want * a
+
+    def test_errors_unchanged(self):
+        with pytest.raises(ValueError):
+            GaussianRational(2) ** Fraction(1, 2)
+        with pytest.raises(ZeroDivisionError):
+            GaussianRational(0) ** -1
+        with pytest.raises(ValueError):
+            HBAR**-1
+        with pytest.raises(ValueError):
+            HBAR**1.0
+        assert GaussianRational(0) ** 0 == 1
+        assert ZERO**0 == ONE
+
+    def test_cli_huge_exponent_is_fast(self):
+        start = time.perf_counter()
+        assert run_command(["eval", "i^10000000"]) == (0, "1")
+        assert time.perf_counter() - start < 1
 
 
 class TestConjugation:

@@ -1,9 +1,11 @@
 """Two-sided multiplication maps, Liouvillians, and the operator-side
 bracket that mirrors the Poisson bracket."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import example, given, settings
 
 from weylforge import (
     HBAR,
@@ -13,6 +15,7 @@ from weylforge import (
     S,
     GaussianRational,
     Liouvillian,
+    NegativeHbarPower,
     OpPoly,
     PhasePoly,
     Scalar,
@@ -28,7 +31,12 @@ from weylforge import (
     t_monomial,
     t_super_apply,
 )
+from weylforge.cli import run_command
 from weylforge.sampling import random_op_poly, random_phase_poly
+from weylforge.superops import _liouvillian_by_definition
+
+from helpers import diamond_by_definition
+from strategies import same_dof
 
 QH = OpPoly.generator("q")
 PH = OpPoly.generator("p")
@@ -119,7 +127,7 @@ class TestLiouvillian:
         rng = random.Random(71)
         for _ in range(40):
             f = random_phase_poly(rng, max_total=4, max_terms=3)
-            assert liouvillian_apply(f, IDENT) == ms(f)
+            assert _liouvillian_by_definition(f, IDENT) == ms(f)
 
     def test_liouvillians_commute(self):
         rng = random.Random(72)
@@ -127,9 +135,9 @@ class TestLiouvillian:
             f = random_phase_poly(rng, max_total=3, max_terms=2)
             g = random_phase_poly(rng, max_total=3, max_terms=2)
             F = random_op_poly(rng, max_total=2, max_terms=2)
-            assert liouvillian_apply(f, liouvillian_apply(g, F)) == (
-                liouvillian_apply(g, liouvillian_apply(f, F))
-            )
+            L_f = functools.partial(_liouvillian_by_definition, f)
+            L_g = functools.partial(_liouvillian_by_definition, g)
+            assert L_f(L_g(F)) == L_g(L_f(F))
 
     def test_linearity_in_source(self):
         rng = random.Random(73)
@@ -156,6 +164,51 @@ class TestLiouvillian:
     def test_dof_mismatch(self):
         with pytest.raises(ValueError):
             Liouvillian(PhasePoly.generator("q"))(OpPoly.identity(2))
+
+
+def _bracket_or_refusal(*args):
+    try:
+        return pmb(*args)
+    except NegativeHbarPower:
+        return NegativeHbarPower
+
+
+class TestClosedForms:
+    """Each closed form against the paper's definition it replaces."""
+
+    @given(same_dof(PhasePoly, OpPoly))
+    def test_liouvillian_is_the_ordering_superoperator_sum(self, pair):
+        f, F = pair
+        assert Liouvillian(f).apply(F) == _liouvillian_by_definition(f, F)
+
+    @given(same_dof(OpPoly, OpPoly))
+    def test_diamond_is_the_liouvillian_of_the_pullback(self, pair):
+        F, G = pair
+        assert diamond(F, G) == diamond_by_definition(F, G)
+
+    # The closed form raises NegativeHbarPower exactly when the variants do.
+    @settings(max_examples=60)
+    @given(same_dof(OpPoly, OpPoly, max_terms=2))
+    @example((QH * Scalar.term(-1, 0, GaussianRational(1)), PH))
+    def test_pmb_matches_every_variant(self, pair):
+        F, G = pair
+        closed = _bracket_or_refusal(F, G)
+        for variant in (1, 2, 3, 4):
+            assert _bracket_or_refusal(F, G, variant) == closed
+
+
+class TestDegreeLimit:
+    """The closed forms pass through ms and ms_inverse, so a result above
+    MAX_T_DEGREE is refused with ms's message."""
+
+    def test_diamond_result_above_the_limit(self):
+        code, out = run_command(["eval", "diamond(qh^201, qh^201)"])
+        assert code == 2
+        assert out == (
+            "error: ordered monomial of total degree 402 exceeds the limit of 400"
+        )
+        code, out = run_command(["eval", "diamond(qh^200, qh^200)"])
+        assert (code, out) == (0, "qh^400")
 
 
 class TestAdjointAction:
@@ -189,7 +242,7 @@ class TestDiamond:
         for _ in range(40):
             F = random_op_poly(rng, max_total=3, max_terms=2)
             G = random_op_poly(rng, max_total=3, max_terms=2)
-            assert diamond(F, G) == diamond(G, F)
+            assert diamond(F, G) == diamond_by_definition(G, F)
 
     def test_identity_element(self):
         rng = random.Random(92)
@@ -202,14 +255,15 @@ class TestDiamond:
         for _ in range(40):
             f = random_phase_poly(rng, max_total=3, max_terms=2)
             g = random_phase_poly(rng, max_total=3, max_terms=2)
-            assert diamond(ms(f), ms(g)) == ms(f * g)
+            assert diamond_by_definition(ms(f), ms(g)) == ms(f * g)
 
     def test_inverse_map_sends_diamond_to_product(self):
         rng = random.Random(94)
         for _ in range(30):
             F = random_op_poly(rng, max_total=3, max_terms=2)
             G = random_op_poly(rng, max_total=3, max_terms=2)
-            assert ms_inverse(diamond(F, G)) == ms_inverse(F) * ms_inverse(G)
+            by_definition = diamond_by_definition(F, G)
+            assert ms_inverse(by_definition) == ms_inverse(F) * ms_inverse(G)
 
     def test_simple_value(self):
         # qh diamond ph quantizes the commuting product q p.
@@ -297,6 +351,7 @@ class TestPmb:
         for _ in range(20):
             f = random_phase_poly(rng, max_total=3, max_terms=2)
             g = random_phase_poly(rng, max_total=3, max_terms=2)
+            assert pmb_functions(f, g) == pmb(ms(f), ms(g), 1)
             for variant in (1, 4):
                 assert pmb_functions(f, g, variant) == pmb(
                     ms(f), ms(g), variant
