@@ -27,9 +27,9 @@ from fractions import Fraction
 
 from .operators import OpPoly, commutator
 from .phase import PhasePoly, poisson_bracket
-from .scalars import NEG_I_OVER_HBAR, NegativeHbarPower
+from .scalars import NEG_I_OVER_HBAR
 from .superops import _assert_no_inverse_hbar, _pmb_impl, liouvillian_apply
-from .wwgm import ms, ms_inverse
+from .wwgm import derivative_image, ms, ms_inverse
 
 __all__ = [
     "FlowSeries",
@@ -107,28 +107,18 @@ def _check_order(order):
         )
 
 
-def _assert_hbar_clean(F):
-    low = F.min_hbar_exp()
-    if low is not None and low < 0:
-        raise NegativeHbarPower("motion equation kept an inverse power of hbar")
-    return F
-
-
 def hamilton_rhs(H, dof_index=0):
     """Right-hand sides of the generator equations of motion.
 
-    Returns (qdot, pdot) for one dof: each is 1/(i*hbar) times the
-    commutator of the generator with the operator image of H, reduced
-    to normal form with the hbar division done exactly.
+    Returns (qdot, pdot) for one dof: 1/(i*hbar) times the commutator of
+    each generator with the operator image of H, which are the images of
+    dH/dp and -dH/dq (see wwgm.derivative_image), reduced to normal form
+    with the hbar division done exactly.
     """
-    Hop = ms(H)
-    qdot = commutator(
-        OpPoly.generator("q", dof_index, H.dof_count), Hop
-    ) * NEG_I_OVER_HBAR
-    pdot = commutator(
-        OpPoly.generator("p", dof_index, H.dof_count), Hop
-    ) * NEG_I_OVER_HBAR
-    return _assert_hbar_clean(qdot), _assert_hbar_clean(pdot)
+    return (
+        _assert_no_inverse_hbar(derivative_image(H, "p", dof_index)),
+        _assert_no_inverse_hbar(-derivative_image(H, "q", dof_index)),
+    )
 
 
 def pmb_flow_series(F0, H, order):
@@ -151,18 +141,13 @@ def pmb_flow_series(F0, H, order):
 
 def _pmb_flow_by_definition(F0, H, order):
     """The operator flow by its definition: iterate pmb variant 4 with
-    ms(H) in the first slot and H as its known pullback, so no operator
-    is pulled back.  The reference pmb_flow_series is checked against.
+    ms(H) in the first slot.  The reference pmb_flow_series is checked
+    against.
     """
     _check_order(order)
     F0._check_dof(H)
     H_op = ms(H)
-    coefficients = [F0]
-    current = F0
-    for k in range(1, order + 1):
-        current = _pmb_impl(H_op, current, H, None, 4)
-        coefficients.append(current * Fraction(1, math.factorial(k)))
-    return FlowSeries(order, coefficients)
+    return _flow(lambda F: _pmb_impl(H_op, F, 4), F0, order)
 
 
 def classical_flow_series(f0, H, order):
@@ -172,10 +157,15 @@ def classical_flow_series(f0, H, order):
     """
     _check_order(order)
     f0._check_dof(H)
+    return _flow(lambda f: poisson_bracket(H, f), f0, order)
+
+
+def _flow(step, f0, order):
+    """Taylor coefficients (1/k!) step^k f0 for k = 0..order."""
     coefficients = [f0]
     current = f0
     for k in range(1, order + 1):
-        current = poisson_bracket(H, current)
+        current = step(current)
         coefficients.append(current * Fraction(1, math.factorial(k)))
     return FlowSeries(order, coefficients)
 
@@ -245,4 +235,4 @@ def observable_rhs(f, g, H):
         )
     f_dot = f_dot * Fraction(1, mass) if mass != 1 else f_dot
     g_dot = g_dot * NEG_I_OVER_HBAR
-    return _assert_hbar_clean(f_dot), _assert_hbar_clean(g_dot)
+    return _assert_no_inverse_hbar(f_dot), _assert_no_inverse_hbar(g_dot)

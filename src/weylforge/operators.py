@@ -197,34 +197,6 @@ def _t_power(k):
     )
 
 
-@functools.cache
-def _t_multi(n_vector, m_vector):
-    """Ordered monomial, formal parameter, one kernel per dof.
-
-    Per dof, the position-led binomial average
-        2^-n sum_j C(n,j) (1+s)^j (1-s)^(n-j)  qh^j ph^m qh^(n-j)
-    and its momentum-led mirror both collapse, through
-        sum_j C(n,j) C(n-j,k) (1+s)^j (1-s)^(n-j) = 2^(n-k) C(n,k) (1-s)^k,
-    to min(n, m) + 1 terms:
-        sum_k k! C(n,k) C(m,k) ((1-s)/2)^k (-i*hbar)^k  qh^(n-k) ph^(m-k).
-    That is the reordering kernel of ph^m qh^n (_dof_pair(0, m, n, 0))
-    with (-i*hbar)^k replaced by _t_power(k).
-    """
-    return _from_t_basis(len(n_vector), [(tuple(zip(n_vector, m_vector)), ONE)])
-
-
-def _from_t_basis(dof_count, terms):
-    """The operator sum of coeff * t(key) over (key, coeff) pairs.
-
-    The inverse of to_t_basis, in one kernel pass over the terms: each
-    ordered monomial is the kernel of _t_multi.
-    """
-    products = (
-        (coeff, [_dof_pair(0, m, n, 0) for n, m in key]) for key, coeff in terms
-    )
-    return OpPoly._raw(dof_count, _kernel_terms(products, _t_power))
-
-
 def _check_t_degree(degree):
     if degree > MAX_T_DEGREE:
         raise ValueError(
@@ -233,28 +205,46 @@ def _check_t_degree(degree):
         )
 
 
-def t_monomial(n, m, form="q", s_value=None):
+def _t_pass(terms, class_power):
+    """One kernel pass between the normal-ordered and ordered bases.
+
+    terms is a re-iterable of (exponent vector, Scalar) pairs.  Per dof,
+    the position-led binomial average defining the ordered monomial,
+        2^-n sum_j C(n,j) (1+s)^j (1-s)^(n-j)  qh^j ph^m qh^(n-j),
+    and its momentum-led mirror both collapse, through
+        sum_j C(n,j) C(n-j,k) (1+s)^j (1-s)^(n-j) = 2^(n-k) C(n,k) (1-s)^k,
+    to min(n, m) + 1 terms:
+        t(n, m) = sum_k k! C(n,k) C(m,k) ((1-s)/2)^k (-i*hbar)^k  qh^(n-k) ph^(m-k).
+    That is the reordering kernel of ph^m qh^n (_dof_pair(0, m, n, 0))
+    with (-i*hbar)^k replaced by _t_power(k), so with class_power
+    _t_power the pass sums coeff * t(key) in normal order, and with
+    _t_inverse_power it expands in the ordered basis (see to_t_basis).
+    Returns {exponent vector: Scalar}.  A term of total degree above
+    MAX_T_DEGREE raises ValueError before any work.
+    """
+    _check_t_degree(
+        max((sum(n + m for n, m in key) for key, _ in terms), default=0)
+    )
+    products = (
+        (coeff, [_dof_pair(0, m, n, 0) for n, m in key]) for key, coeff in terms
+    )
+    return _kernel_terms(products, class_power)
+
+
+def t_monomial(n, m):
     """Ordered monomial for the formal ordering parameter.
 
     n and m are ints (one dof) or equal-length sequences (one entry per
-    dof).  s_value, when given, substitutes a numeric value for the
-    ordering parameter in the result; the construction itself is always
-    formal, so substitution commutes with every identity.  form names
-    the position-led ("q") or momentum-led ("p") binomial average the
-    monomial is defined by; both are the same operator.  A total degree
-    above MAX_T_DEGREE raises ValueError.
+    dof).  The monomial is the position-led, equivalently momentum-led,
+    binomial average of words (see _t_pass).  A total degree above
+    MAX_T_DEGREE raises ValueError.
     """
-    if form not in ("q", "p"):
-        raise ValueError(f"form must be 'q' or 'p', got {form!r}")
     n_vector = _exp_vector(n)
     m_vector = _exp_vector(m)
     if len(n_vector) != len(m_vector):
         raise ValueError("n and m must cover the same dofs")
-    _check_t_degree(sum(n_vector) + sum(m_vector))
-    out = _t_multi(n_vector, m_vector)
-    if s_value is not None:
-        out = out.substitute(s_value=s_value)
-    return out
+    key = tuple(zip(n_vector, m_vector))
+    return OpPoly._raw(len(key), _t_pass([(key, ONE)], _t_power))
 
 
 @functools.cache
@@ -263,32 +253,16 @@ def _t_inverse_power(k):
     return _t_power(k) if k % 2 == 0 else -_t_power(k)
 
 
-def to_t_basis(operator, s_value=None):
+def to_t_basis(operator):
     """Expand an operator over the ordered-monomial basis.
 
     Returns {exponent vector: Scalar}.  The ordered monomials are
     t(n, m) = exp(c D) qh^n ph^m with c = ((1-s)/2)(-i*hbar) and
-    D qh^n ph^m = n m qh^(n-1) ph^(m-1) (see _t_multi), so each normal
+    D qh^n ph^m = n m qh^(n-1) ph^(m-1) (see _t_pass), so each normal
     ordered monomial inverts in closed form, per dof,
         qh^n ph^m = sum_k k! C(n,k) C(m,k) (-c)^k  t(n-k, m-k):
     the kernel of t_monomial with (-1)^k on its class power, taken in one
-    pass over the operator.  s_value, when given, evaluates the
-    expansion coefficients at that ordering.  An operator of total
-    degree above MAX_T_DEGREE raises ValueError.
+    pass over the operator.  An operator of total degree above
+    MAX_T_DEGREE raises ValueError.
     """
-    if operator:
-        _check_t_degree(operator.total_degree())
-    products = (
-        (coeff, [_dof_pair(0, m, n, 0) for n, m in key])
-        for key, coeff in operator.items()
-    )
-    coeffs = _kernel_terms(products, _t_inverse_power)
-    if s_value is not None:
-        coeffs = {
-            key: value
-            for key, value in (
-                (k, c.substitute(s_value=s_value)) for k, c in coeffs.items()
-            )
-            if value
-        }
-    return coeffs
+    return _t_pass(operator.items(), _t_inverse_power)

@@ -227,11 +227,11 @@ def diamond(F, G):
     return ms(ms_inverse(F) * ms_inverse(G))
 
 
-def _pmb_impl(F, G, f, g, variant):
+def _pmb_impl(F, G, variant):
     """The four equivalent bracket expressions.
 
-    f and g are the pullbacks of F and G when already known, else None;
-    each variant touches only the ones it needs:
+    f and g are the pullbacks ms_inverse(F) and ms_inverse(G); each
+    variant pulls back only the ones it needs:
 
         1: -(i/hbar) sum_i [ L(d_qi g)([qhat_i, F]) + L(d_pi g)([phat_i, F]) ]
         2: -(i/hbar) sum_i [ L(d_qi g)([qhat_i, F]) - L(d_qi f)([qhat_i, G]) ]
@@ -242,9 +242,9 @@ def _pmb_impl(F, G, f, g, variant):
         raise ValueError("variant must be 1, 2, 3, or 4")
     F._check_dof(G)
     dof = F.dof_count
-    if variant != 4 and g is None:
+    if variant != 4:
         g = ms_inverse(G)
-    if variant != 1 and f is None:
+    if variant != 1:
         f = ms_inverse(F)
     out = OpPoly.zero(dof)
     for i in range(dof):
@@ -282,7 +282,7 @@ def pmb(F, G, variant=None):
     never carries negative powers of hbar (asserted).
     """
     if variant is not None:
-        return _pmb_impl(F, G, None, None, variant)
+        return _pmb_impl(F, G, variant)
     F._check_dof(G)
     return _assert_no_inverse_hbar(
         ms(poisson_bracket(ms_inverse(F), ms_inverse(G)))
@@ -292,11 +292,12 @@ def pmb(F, G, variant=None):
 def pmb_functions(f, g, variant=None):
     """Same bracket, entered from the commutative side.
 
-    Takes the phase-space polynomials directly, skipping the inverse
-    map; returns the operator-side bracket of ms(f) and ms(g), by
-    default as ms(PB(f, g)).
+    Takes the phase-space polynomials directly and returns the
+    operator-side bracket of ms(f) and ms(g): by default ms(PB(f, g)),
+    skipping the inverse map; variant=1..4 evaluates the paper's
+    expression on ms(f) and ms(g) (see _pmb_impl).
     """
     f._check_dof(g)
     if variant is not None:
-        return _pmb_impl(ms(f), ms(g), f, g, variant)
+        return _pmb_impl(ms(f), ms(g), variant)
     return _assert_no_inverse_hbar(ms(poisson_bracket(f, g)))

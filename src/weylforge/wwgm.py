@@ -14,13 +14,7 @@ first is how superops.pmb computes the operator bracket by default, and
 is checked there against the paper's four superoperator forms.
 """
 
-from .operators import (
-    OpPoly,
-    _check_t_degree,
-    _from_t_basis,
-    commutator,
-    to_t_basis,
-)
+from .operators import OpPoly, _t_pass, _t_power, commutator, to_t_basis
 from .phase import PhasePoly, moyal_bracket
 from .scalars import I_OVER_HBAR, NEG_I_OVER_HBAR
 
@@ -33,37 +27,25 @@ __all__ = [
 ]
 
 
-def ms(f, s_value=None):
+def ms(f):
     """Map a commutative polynomial to its ordered operator counterpart.
 
     Coefficients pass through unchanged.  The image is taken in one
-    kernel pass over f (operators._from_t_basis), the mirror of
-    to_t_basis.  With s_value given, the ordering parameter is
-    substituted in the result (equivalently, before the map:
-    substitution commutes with it).  A term of total degree above
-    MAX_T_DEGREE raises ValueError.
+    kernel pass over f (operators._t_pass), the mirror of to_t_basis.
+    A term of total degree above MAX_T_DEGREE raises ValueError.
     """
-    if f:
-        _check_t_degree(f.total_degree())
-    out = _from_t_basis(f.dof_count, f.items())
-    if s_value is not None:
-        out = out.substitute(s_value=s_value)
-    return out
+    return OpPoly._raw(f.dof_count, _t_pass(f.items(), _t_power))
 
 
-def ms_inverse(F, s_value=None):
+def ms_inverse(F):
     """Inverse map: expand in ordered monomials, return the exponents.
 
     Exact two-sided inverse of ms on polynomials.
     """
-    basis = to_t_basis(F)
-    out = PhasePoly(F.dof_count, basis) if basis else PhasePoly.zero(F.dof_count)
-    if s_value is not None:
-        out = out.substitute(s_value=s_value)
-    return out
+    return PhasePoly._raw(F.dof_count, to_t_basis(F))
 
 
-def derivative_image(f, var, dof_index=0, s_value=None):
+def derivative_image(f, var, dof_index=0):
     """Image of a partial derivative of f, computed without derivatives.
 
     Uses the adjoint action of the conjugate generator on ms(f):
@@ -78,13 +60,9 @@ def derivative_image(f, var, dof_index=0, s_value=None):
     F = ms(f)
     if var == "p":
         gen = OpPoly.generator("q", dof_index, f.dof_count)
-        out = commutator(gen, F) * NEG_I_OVER_HBAR
-    else:
-        gen = OpPoly.generator("p", dof_index, f.dof_count)
-        out = commutator(gen, F) * I_OVER_HBAR
-    if s_value is not None:
-        out = out.substitute(s_value=s_value)
-    return out
+        return commutator(gen, F) * NEG_I_OVER_HBAR
+    gen = OpPoly.generator("p", dof_index, f.dof_count)
+    return commutator(gen, F) * I_OVER_HBAR
 
 
 def antihom_check(f, g):

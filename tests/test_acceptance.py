@@ -48,7 +48,7 @@ from weylforge.cli import run_command
 from weylforge.dynamics import _pmb_flow_by_definition
 from weylforge.sampling import random_op_poly, random_phase_poly
 
-from helpers import GOLDEN_ALL_42, diamond_by_definition
+from helpers import GOLDEN_ALL_42, diamond_by_definition, oracle_t_averages
 
 QH = OpPoly.generator("q")
 PH = OpPoly.generator("p")
@@ -168,20 +168,20 @@ def test_criterion_06_lie_axioms_for_all_three_brackets():
 
 def test_criterion_07_ordering_core():
     with criterion(7, "ordered-monomial construction identities and adjoints"):
-        # position-led and momentum-led expansions agree
+        # the position-led and momentum-led binomial averages both give
+        # the closed form
+        rng = random.Random(1007)
         for n in range(6):
             for m in range(6):
-                assert t_monomial(n, m, form="q") == t_monomial(
-                    n, m, form="p"
-                ), (n, m)
+                t = t_monomial(n, m)
+                assert (t, t) == oracle_t_averages(n, m, rng), (n, m)
         # the ordering extremes are the one-sided products
         plus = GaussianRational(1, 0)
         for n in range(6):
             for m in range(6):
-                assert t_monomial(n, m, s_value=plus) == OpPoly.monomial(
-                    [(n, m)]
-                )
-                assert t_monomial(n, m, s_value=-plus) == normalize(
+                t = t_monomial(n, m)
+                assert t.substitute(s_value=plus) == OpPoly.monomial([(n, m)])
+                assert t.substitute(s_value=-plus) == normalize(
                     OpWord([("p", 0)] * m + [("q", 0)] * n)
                 )
         # symmetric point: full average over the three orderings of q p p
@@ -190,7 +190,8 @@ def test_criterion_07_ordering_core():
             + normalize(OpWord([("p", 0), ("q", 0), ("p", 0)]))
             + normalize(OpWord([("p", 0), ("p", 0), ("q", 0)]))
         ) * Fraction(1, 3)
-        assert t_monomial(1, 2, s_value=GaussianRational(0, 0)) == three_way
+        symmetric = t_monomial(1, 2).substitute(s_value=GaussianRational(0, 0))
+        assert symmetric == three_way
         # four-term sandwich recursion raising both exponents
         quarter = Fraction(1, 4)
         for n in range(4):
@@ -211,12 +212,12 @@ def test_criterion_07_ordering_core():
         ):
             for n in range(4):
                 for m in range(4):
-                    t = t_monomial(n, m, s_value=s0)
+                    t = t_monomial(n, m).substitute(s_value=s0)
                     assert t.dagger() == t, (n, m, s0)
         for n in range(1, 4):
             for m in range(1, 4):
-                standard = t_monomial(n, m, s_value=plus)
-                anti = t_monomial(n, m, s_value=-plus)
+                standard = t_monomial(n, m).substitute(s_value=plus)
+                anti = t_monomial(n, m).substitute(s_value=-plus)
                 assert standard.dagger() == anti, (n, m)
                 assert standard.dagger() != standard, (n, m)
 

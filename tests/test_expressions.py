@@ -187,7 +187,7 @@ class TestEvaluation:
 
 class TestRender:
     def test_text_goldens(self):
-        assert render(t_monomial(1, 2, s_value=0)) == "qh*ph^2 - i*hbar*ph"
+        assert render(t_monomial(1, 2).substitute(s_value=0)) == "qh*ph^2 - i*hbar*ph"
         assert (
             render(t_monomial(1, 1))
             == "qh*ph - 1/2*i*hbar + 1/2*i*hbar*s"

@@ -116,9 +116,10 @@ class TestOrderedMonomials:
         # s=1 is the all-positions-left product, s=-1 the reverse.
         for n in range(4):
             for m in range(4):
-                standard = t_monomial(n, m, s_value=GaussianRational(1, 0))
+                t = t_monomial(n, m)
+                standard = t.substitute(s_value=GaussianRational(1, 0))
                 assert standard == OpPoly.monomial([(n, m)])
-                anti = t_monomial(n, m, s_value=GaussianRational(-1, 0))
+                anti = t.substitute(s_value=GaussianRational(-1, 0))
                 assert anti == normalize(
                     OpWord([("p", 0)] * m + [("q", 0)] * n)
                 )
@@ -138,11 +139,11 @@ class TestOrderedMonomials:
             + normalize(word("pqp"))
             + normalize(word("ppq"))
         ) * Fraction(1, 3)
-        assert t_monomial(1, 2, s_value=GaussianRational(0, 0)) == sym
+        assert t_monomial(1, 2).substitute(s_value=GaussianRational(0, 0)) == sym
         assert sym == OpPoly.monomial([(1, 2)]) - PH * I_HBAR
 
     def test_symmetric_square_of_t11(self):
-        t11 = t_monomial(1, 1, s_value=GaussianRational(0, 0))
+        t11 = t_monomial(1, 1).substitute(s_value=GaussianRational(0, 0))
         expected = (
             OpPoly.monomial([(2, 2)])
             - OpPoly.monomial([(1, 1)]) * I_HBAR * 2
@@ -151,18 +152,15 @@ class TestOrderedMonomials:
         assert t11 * t11 == expected
 
     def test_q_and_p_forms_agree(self):
-        # Each form must equal its own defining binomial average, rewritten
-        # word by word by the random-order oracle, not merely the other form.
+        # The closed form must equal both defining binomial averages,
+        # rewritten word by word by the random-order oracle.
         rng = random.Random(506)
         for n in range(4):
             for m in range(4):
                 position_led, momentum_led = oracle_t_averages(n, m, rng)
-                assert t_monomial(n, m, form="q") == position_led
-                assert t_monomial(n, m, form="p") == momentum_led
-
-    def test_unknown_form_rejected(self):
-        with pytest.raises(ValueError):
-            t_monomial(1, 1, form="x")
+                t = t_monomial(n, m)
+                assert t == position_led
+                assert t == momentum_led
 
     def test_no_dofs_rejected(self):
         with pytest.raises(ValueError, match="at least one dof"):
@@ -195,7 +193,7 @@ class TestOrderedMonomials:
                 Fraction(rng.randrange(-2, 3), rng.randrange(1, 4)), 0
             )
             formal = t_monomial(n, m)
-            assert t_monomial(n, m, s_value=s0) == formal.subs_s(
+            assert formal.substitute(s_value=s0) == formal.subs_s(
                 Scalar.constant(s0)
             )
 
@@ -219,12 +217,12 @@ class TestTBasis:
         for _ in range(40):
             F = random_op_poly(rng, dof_count=2, max_total=3, max_terms=2)
             F = F.subs_s(Scalar.constant(s0))
-            coeffs = to_t_basis(F, s_value=s0)
+            coeffs = to_t_basis(F)
             back = OpPoly.zero(F.dof_count)
             for key, coeff in coeffs.items():
                 back = back + t_monomial(
-                    [a for a, _ in key], [b for _, b in key], s_value=s0
-                ) * coeff
+                    [a for a, _ in key], [b for _, b in key]
+                ).substitute(s_value=s0) * coeff.substitute(s_value=s0)
             assert back == F
 
     def test_expansion_of_pq(self):
@@ -268,8 +266,9 @@ class TestDagger:
         one = GaussianRational(1, 0)
         for n in range(4):
             for m in range(4):
-                t_plus = t_monomial(n, m, s_value=one)
-                t_minus = t_monomial(n, m, s_value=-one)
+                t = t_monomial(n, m)
+                t_plus = t.substitute(s_value=one)
+                t_minus = t.substitute(s_value=-one)
                 assert t_plus.dagger() == t_minus
 
 

@@ -24,6 +24,7 @@ from weylforge import (
     poisson_bracket,
     star_product,
     t_monomial,
+    to_t_basis,
 )
 from weylforge.sampling import random_op_poly, random_phase_poly
 
@@ -67,6 +68,18 @@ class TestRoundTrip:
             F = random_op_poly(rng, max_total=4, max_terms=3)
             assert ms(ms_inverse(F)) == F
 
+    def test_inverse_is_the_t_basis_expansion(self):
+        # ms_inverse wraps the expansion as it stands: already canonical,
+        # the zero operator included.
+        rng = random.Random(125)
+        for dof in (1, 2, 3):
+            assert ms_inverse(OpPoly.zero(dof)) == PhasePoly.zero(dof)
+            for _ in range(10):
+                F = random_op_poly(rng, dof_count=dof, max_total=4, max_terms=3)
+                coeffs = to_t_basis(F)
+                assert dict(ms_inverse(F).items()) == coeffs
+                assert ms_inverse(F) == PhasePoly(dof, coeffs)
+
     def test_roundtrip_two_dof(self):
         rng = random.Random(123)
         for _ in range(30):
@@ -78,9 +91,9 @@ class TestRoundTrip:
         s0 = GaussianRational(0, Fraction(1, 2))
         for _ in range(30):
             f = random_phase_poly(rng, max_total=4, max_terms=3)
-            F = ms(f, s_value=s0)
+            F = ms(f).substitute(s_value=s0)
             assert not F.depends_on_s()
-            assert ms_inverse(F, s_value=s0) == f
+            assert ms_inverse(F).substitute(s_value=s0) == f
 
     def test_ordering_correction_example(self):
         # ph qh pulls back to q p - (1/2) i hbar (1 + s) and qh ph to
@@ -91,7 +104,7 @@ class TestRoundTrip:
         assert ms_inverse(pq) == mono(1, 1) - PhasePoly.constant(
             (I * HBAR * half) * (ONE + S)
         )
-        sym = ms_inverse(pq, s_value=GaussianRational(0, 0))
+        sym = ms_inverse(pq).substitute(s_value=GaussianRational(0, 0))
         assert sym == mono(1, 1) - PhasePoly.constant(I * HBAR * half)
         qp = ms_inverse(OpPoly.monomial([(1, 1)]))
         assert qp == mono(1, 1) + PhasePoly.constant(
@@ -120,9 +133,9 @@ class TestDerivativeImages:
     def test_numeric_s(self):
         f = mono(2, 2)
         s0 = GaussianRational(1, 0)
-        assert derivative_image(f, "q", s_value=s0) == ms(
-            f.derivative("q"), s_value=s0
-        )
+        assert derivative_image(f, "q").substitute(s_value=s0) == ms(
+            f.derivative("q")
+        ).substitute(s_value=s0)
 
 
 class TestBracketTransport:
