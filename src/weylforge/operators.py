@@ -75,6 +75,13 @@ def _dof_pair(n1, m1, n2, m2):
     )
 
 
+def _reversed(n, m, _k, _l):
+    """Kernel of the reversed block ph^m qh^n pushed to normal order, for
+    one-operand passes, whose right operand is the unit (see _t_pass and
+    dagger)."""
+    return _dof_pair(0, m, n, 0)
+
+
 @functools.cache
 def _reorder_power(k):
     """(-i*hbar)^k, the class power of the reordering kernel."""
@@ -93,21 +100,10 @@ class OpPoly(SparsePoly):
 
     @classmethod
     def identity(cls, dof_count=1):
-        return cls._raw(dof_count, {((0, 0),) * dof_count: ONE})
+        return cls.constant(ONE, dof_count)
 
     def _product(self, other):
-        products = (
-            (
-                c1 * c2,
-                [
-                    _dof_pair(n1, m1, n2, m2)
-                    for (n1, m1), (n2, m2) in zip(key1, key2)
-                ],
-            )
-            for key1, c1 in self._terms.items()
-            for key2, c2 in other._terms.items()
-        )
-        return OpPoly._raw(self.dof_count, _kernel_terms(products, _reorder_power))
+        return _kernel_terms(OpPoly, self, other, _dof_pair, _reorder_power)
 
     def dagger(self, s_rule="fix_s"):
         """Adjoint: reverse every word, conjugate coefficients, renormalize.
@@ -115,11 +111,9 @@ class OpPoly(SparsePoly):
         The generators are self-adjoint, so per dof the reversed block is
         ph^m qh^n, which is pushed back to normal order.
         """
-        products = (
-            (coeff.conjugate(s_rule), [_dof_pair(0, m, n, 0) for n, m in key])
-            for key, coeff in self._terms.items()
+        return _kernel_terms(
+            OpPoly, self._conjugate(s_rule), None, _reversed, _reorder_power
         )
-        return OpPoly._raw(self.dof_count, _kernel_terms(products, _reorder_power))
 
 
 class OpWord:
@@ -167,7 +161,7 @@ def normalize(word, coeff=ONE):
         length = sum(1 for _ in run)
         block = (length, 0) if kind == "q" else (0, length)
         key = tuple(block if i == index else (0, 0) for i in range(dof_count))
-        out = out * OpPoly._raw(dof_count, {key: ONE})
+        out = out * OpPoly.monomial(key)
     return out
 
 
@@ -205,30 +199,25 @@ def _check_t_degree(degree):
         )
 
 
-def _t_pass(terms, class_power):
+def _t_pass(cls, poly, class_power):
     """One kernel pass between the normal-ordered and ordered bases.
 
-    terms is a re-iterable of (exponent vector, Scalar) pairs.  Per dof,
-    the position-led binomial average defining the ordered monomial,
+    Per dof, the position-led binomial average defining the ordered
+    monomial,
         2^-n sum_j C(n,j) (1+s)^j (1-s)^(n-j)  qh^j ph^m qh^(n-j),
     and its momentum-led mirror both collapse, through
         sum_j C(n,j) C(n-j,k) (1+s)^j (1-s)^(n-j) = 2^(n-k) C(n,k) (1-s)^k,
     to min(n, m) + 1 terms:
         t(n, m) = sum_k k! C(n,k) C(m,k) ((1-s)/2)^k (-i*hbar)^k  qh^(n-k) ph^(m-k).
-    That is the reordering kernel of ph^m qh^n (_dof_pair(0, m, n, 0))
-    with (-i*hbar)^k replaced by _t_power(k), so with class_power
-    _t_power the pass sums coeff * t(key) in normal order, and with
+    That is the reordering kernel of ph^m qh^n (_reversed) with
+    (-i*hbar)^k replaced by _t_power(k), so with class_power _t_power
+    the pass sums coeff * t(key) in normal order, and with
     _t_inverse_power it expands in the ordered basis (see to_t_basis).
-    Returns {exponent vector: Scalar}.  A term of total degree above
+    Returns a cls over the dofs of poly.  A term of total degree above
     MAX_T_DEGREE raises ValueError before any work.
     """
-    _check_t_degree(
-        max((sum(n + m for n, m in key) for key, _ in terms), default=0)
-    )
-    products = (
-        (coeff, [_dof_pair(0, m, n, 0) for n, m in key]) for key, coeff in terms
-    )
-    return _kernel_terms(products, class_power)
+    _check_t_degree(poly.total_degree() or 0)
+    return _kernel_terms(cls, poly, None, _reversed, class_power)
 
 
 def t_monomial(n, m):
@@ -244,7 +233,7 @@ def t_monomial(n, m):
     if len(n_vector) != len(m_vector):
         raise ValueError("n and m must cover the same dofs")
     key = tuple(zip(n_vector, m_vector))
-    return OpPoly._raw(len(key), _t_pass([(key, ONE)], _t_power))
+    return _t_pass(OpPoly, OpPoly.monomial(key), _t_power)
 
 
 @functools.cache
@@ -265,4 +254,4 @@ def to_t_basis(operator):
     pass over the operator.  An operator of total degree above
     MAX_T_DEGREE raises ValueError.
     """
-    return _t_pass(operator.items(), _t_inverse_power)
+    return dict(_t_pass(OpPoly, operator, _t_inverse_power).items())

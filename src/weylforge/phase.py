@@ -19,9 +19,9 @@ import functools
 import math
 from fractions import Fraction
 
-from .polynomial import SparsePoly, _accumulate, _kernel_terms
+from .polynomial import SparsePoly, _kernel_terms
 from .scalars import (
-    Scalar,
+    ZERO,
     ONE,
     I,
     HBAR,
@@ -67,15 +67,7 @@ class PhasePoly(SparsePoly):
         return cls.constant(ONE, dof_count)
 
     def _product(self, other):
-        out = {}
-        for key1, c1 in self._terms.items():
-            for key2, c2 in other._terms.items():
-                key = tuple(
-                    (n1 + n2, m1 + m2)
-                    for (n1, m1), (n2, m2) in zip(key1, key2)
-                )
-                _accumulate(out, key, c1 * c2)
-        return PhasePoly._raw(self.dof_count, out)
+        return self._convolved(other)
 
     def derivative(self, var, dof_index=0):
         """Formal partial derivative in q or p of one dof."""
@@ -84,16 +76,16 @@ class PhasePoly(SparsePoly):
         if not 0 <= dof_index < self.dof_count:
             raise IndexError("dof_index out of range")
         slot = 0 if var == "q" else 1
-        out = {}
-        for key, coeff in self._terms.items():
+
+        def lowered(key):
             exponent = key[dof_index][slot]
             if exponent == 0:
-                continue
+                return None
             block = list(key[dof_index])
             block[slot] = exponent - 1
-            new_key = key[:dof_index] + (tuple(block),) + key[dof_index + 1:]
-            _accumulate(out, new_key, coeff * exponent)
-        return PhasePoly._raw(self.dof_count, out)
+            return key[:dof_index] + (tuple(block),) + key[dof_index + 1:], exponent
+
+        return self._rekeyed(lowered)
 
 
 def poisson_bracket(f, g):
@@ -145,15 +137,7 @@ def _moyal_power(pairings):
 
 def _star_terms(f, g, class_power):
     f._check_dof(g)
-    products = (
-        (
-            c1 * c2,
-            [_star_single(n, m, k, l) for (n, m), (k, l) in zip(key1, key2)],
-        )
-        for key1, c1 in f._terms.items()
-        for key2, c2 in g._terms.items()
-    )
-    return PhasePoly._raw(f.dof_count, _kernel_terms(products, class_power))
+    return _kernel_terms(PhasePoly, f, g, _star_single, class_power)
 
 
 def star_product(f, g):
@@ -191,9 +175,7 @@ def winf_pb_structure(n, m, k, l):
     if coeff == 0:
         return PhasePoly.zero(1)
     assert n + k >= 1 and m + l >= 1
-    return PhasePoly._raw(
-        1, {((n + k - 1, m + l - 1),): Scalar.constant(coeff)}
-    )
+    return PhasePoly.monomial(((n + k - 1, m + l - 1),), coeff)
 
 
 def winf_mb_closed_form(n, m, k, l):
@@ -212,7 +194,7 @@ def winf_mb_closed_form(n, m, k, l):
     j_max = min(n + r_max, l + r_max)
     out = {}
     for j in range(j_max + 1):
-        inner = Scalar._raw({})
+        inner = ZERO
         for r in range(r_max + 1):
             choose = math.comb(j, r)
             if choose == 0:
@@ -236,8 +218,8 @@ def winf_mb_closed_form(n, m, k, l):
         if not coeff:
             continue
         assert n + k - j >= 0 and m + l - j >= 0
-        _accumulate(out, ((n + k - j, m + l - j),), coeff)
-    return PhasePoly._raw(1, out)
+        out[((n + k - j, m + l - j),)] = coeff
+    return PhasePoly(1, out)
 
 
 def classical_limit_bracket(f, g):

@@ -19,10 +19,7 @@ __all__ = ["render"]
 
 def _flat_terms(poly):
     """Flatten to (key, hbar_pow, s_pow, gaussian) in canonical order."""
-    out = []
-    for key, coeff in poly.items():
-        for (hbar_pow, s_pow), gaussian in coeff.items():
-            out.append((key, hbar_pow, s_pow, gaussian))
+    out = list(poly.flat_items())
     out.sort(
         key=lambda item: (
             -sum(n + m for n, m in item[0]),

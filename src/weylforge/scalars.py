@@ -1,10 +1,16 @@
 """Exact coefficient ring: Gaussian rationals with formal hbar and s.
 
-Every coefficient in this package is a finite sum
+Scalar is the coefficient type at the package's edges: polynomial
+constructors take it, items() hands it out, and expressions evaluate to
+it.  A Scalar is a finite sum
 
     sum_{k,j}  c[k,j] * hbar**k * s**j
 
 with Gaussian-rational c[k,j], integer k, and nonnegative integer j.
+Inside a polynomial the same values are stored flat, as Gaussian-integer
+numerators over one shared denominator (see polynomial), and products
+run on those integers; this module supplies the class powers and
+constants they meet.
 Negative k (inverse powers of hbar) may appear in intermediate results;
 public bracket operations verify they have cancelled before returning.
 There is no floating point anywhere.
@@ -32,6 +38,12 @@ __all__ = [
 ]
 
 _CONJ_RULES = ("fix_s", "negate_s")
+
+# Largest size, in bits of numerator or denominator, of a power of a
+# Gaussian rational.  It keeps every such power well inside what prints
+# as a decimal (Python refuses ints of more than 4300 digits, ~14300
+# bits) and bounds the time a power can take.
+MAX_POWER_BITS = 10000
 
 
 class NegativeHbarPower(ArithmeticError):
@@ -193,10 +205,27 @@ class GaussianRational:
         return other / self
 
     def __pow__(self, exponent):
+        """Integer power; refused past MAX_POWER_BITS before any work.
+
+        The size is bounded by the exponent times the bits of the base's
+        norm (halved, for the numerator) and of its denominator, so a
+        unit-modulus base such as i never grows.
+        """
         if not isinstance(exponent, int):
             raise ValueError("GaussianRational powers must be integers")
         base = self if exponent >= 0 else _new(1, 0, 1) / self
-        return _power(_new(1, 0, 1), base, abs(exponent))
+        exponent = abs(exponent)
+        norm = base._a * base._a + base._b * base._b
+        # twice the bound, to keep the halving exact
+        bits2 = exponent * max(
+            (norm - 1).bit_length(), 2 * (base._d - 1).bit_length()
+        )
+        if bits2 > 2 * MAX_POWER_BITS:
+            raise ValueError(
+                f"power of about {bits2 // 2} bits exceeds the limit of "
+                f"{MAX_POWER_BITS} bits"
+            )
+        return _power(_new(1, 0, 1), base, exponent)
 
     def conjugate(self):
         return _new(self._a, -self._b, self._d)
@@ -383,6 +412,9 @@ class Scalar:
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("Scalar powers must be nonnegative integers")
+        constant = self.as_constant()
+        if constant is not None:
+            return _coerce_scalar(constant**exponent)
         return _power(ONE, self, exponent)
 
     def conjugate(self, s_rule="fix_s"):

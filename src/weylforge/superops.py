@@ -52,7 +52,6 @@ from fractions import Fraction
 
 from .operators import OpPoly, _exp_vector, commutator
 from .phase import PhasePoly, poisson_bracket
-from .polynomial import _accumulate
 from .scalars import HBAR, I, ONE, S, I_OVER_HBAR, NEG_I_OVER_HBAR, NegativeHbarPower
 from .wwgm import ms, ms_inverse
 
@@ -81,25 +80,21 @@ def _generator_of(gen, dof_count):
 
 
 @functools.cache
-def _lowering_weight(kind, sigma, count):
-    """Coefficient of the lowered term: count (1 -+ sigma*s) (-i*hbar).
-
-    The sign is minus for qh, whose lowering comes from F * qh, and plus
-    for ph, whose lowering comes from ph * F.
-    """
-    sign = -sigma if kind == "q" else sigma
-    return (ONE + S * sign) * (-I * HBAR) * count
+def _lowering_factor(sign):
+    """(1 + sign*s) (-i*hbar): the lowered term's weight per unit count."""
+    return (ONE + S * sign) * (-I * HBAR)
 
 
 def t_super_apply(gen, sigma, F):
     """Two-sided multiplication by a generator with s-dependent weights.
 
-    (1 + sigma*s) A F + (1 - sigma*s) F A for A = qh_i or ph_i, taken in
-    one pass over F by the closed form in the module docstring: each
+    (1 + sigma*s) A F + (1 - sigma*s) F A for A = qh_i or ph_i, taken
+    term by term over F by the closed form in the module docstring: each
     term gives 2 F at the raised block and, when the lowered exponent
     count is nonzero, count (1 -+ sigma*s) (-i*hbar) F at the lowered
-    block.  sigma must be +1 or -1 and flips the sign of s in the
-    weights.
+    block, with minus for qh, whose lowering comes from F * qh, and plus
+    for ph, whose lowering comes from ph * F.  sigma must be +1 or -1
+    and flips the sign of s in the weights.
     """
     if sigma not in (1, -1):
         raise ValueError("sigma must be +1 or -1")
@@ -108,23 +103,22 @@ def t_super_apply(gen, sigma, F):
         raise ValueError(f"kind must be 'q' or 'p', got {kind!r}")
     if not 0 <= index < F.dof_count:
         raise IndexError("dof_index out of range")
-    out = {}
-    for key, coeff in F.items():
+
+    def at(key, block):
+        return key[:index] + (block,) + key[index + 1:]
+
+    def raised(key):
         n, m = key[index]
-        before = key[:index]
-        after = key[index + 1:]
+        return at(key, (n + 1, m) if kind == "q" else (n, m + 1)), 2
+
+    def lowered(key):
+        n, m = key[index]
         if kind == "q":
-            raised, lowered, count = (n + 1, m), (n, m - 1), m
-        else:
-            raised, lowered, count = (n, m + 1), (n - 1, m), n
-        _accumulate(out, before + (raised,) + after, coeff * 2)
-        if count:
-            _accumulate(
-                out,
-                before + (lowered,) + after,
-                coeff * _lowering_weight(kind, sigma, count),
-            )
-    return OpPoly._raw(F.dof_count, out)
+            return (at(key, (n, m - 1)), m) if m else None
+        return (at(key, (n - 1, m)), n) if n else None
+
+    sign = -sigma if kind == "q" else sigma
+    return F._rekeyed(raised) + F._rekeyed(lowered) * _lowering_factor(sign)
 
 
 def _dof_exponents(value, dof_count):

@@ -14,7 +14,7 @@ first is how superops.pmb computes the operator bracket by default, and
 is checked there against the paper's four superoperator forms.
 """
 
-from .operators import OpPoly, _t_pass, _t_power, commutator, to_t_basis
+from .operators import OpPoly, _t_inverse_power, _t_pass, _t_power, commutator
 from .phase import PhasePoly, moyal_bracket
 from .scalars import I_OVER_HBAR, NEG_I_OVER_HBAR
 
@@ -34,7 +34,7 @@ def ms(f):
     kernel pass over f (operators._t_pass), the mirror of to_t_basis.
     A term of total degree above MAX_T_DEGREE raises ValueError.
     """
-    return OpPoly._raw(f.dof_count, _t_pass(f.items(), _t_power))
+    return _t_pass(OpPoly, f, _t_power)
 
 
 def ms_inverse(F):
@@ -42,7 +42,7 @@ def ms_inverse(F):
 
     Exact two-sided inverse of ms on polynomials.
     """
-    return PhasePoly._raw(F.dof_count, to_t_basis(F))
+    return _t_pass(PhasePoly, F, _t_inverse_power)
 
 
 def derivative_image(f, var, dof_index=0):

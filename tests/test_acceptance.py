@@ -12,8 +12,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from weylforge import (
-    HBAR,
-    I,
     I_OVER_HBAR,
     ONE,
     S,
@@ -29,7 +27,6 @@ from weylforge import (
     diamond,
     moyal_bracket,
     ms,
-    ms_inverse,
     normalize,
     observable_rhs,
     OpWord,
@@ -39,10 +36,8 @@ from weylforge import (
     pmb_flow_series,
     poisson_bracket,
     render,
-    star_product,
     t_monomial,
     winf_mb_closed_form,
-    winf_pb_structure,
 )
 from weylforge.cli import run_command
 from weylforge.dynamics import _pmb_flow_by_definition

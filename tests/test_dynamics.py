@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from weylforge import (
     HBAR,
-    S,
     FlowSeries,
     NegativeHbarPower,
     OpPoly,

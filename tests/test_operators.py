@@ -169,14 +169,14 @@ class TestOrderedMonomials:
     def test_multi_dof_factorizes(self):
         one = t_monomial(2, 1)
         other = t_monomial(0, 3)
-        lifted_one = OpPoly._raw(
+        lifted_one = OpPoly(
             2,
             {
                 (key[0], (0, 0)): coeff
                 for key, coeff in one.items()
             },
         )
-        lifted_other = OpPoly._raw(
+        lifted_other = OpPoly(
             2,
             {
                 ((0, 0), key[0]): coeff

@@ -206,11 +206,7 @@ class TestStructureConstants:
                 for k in range(4):
                     for l in range(4):
                         mb = winf_mb_closed_form(n, m, k, l)
-                        scaled = mb.map_scalars(
-                            lambda c: (
-                                c * Scalar.term(-1, 0, GaussianRational(0, -1))
-                            )
-                        )
+                        scaled = mb * Scalar.term(-1, 0, GaussianRational(0, -1))
                         assert scaled.limit_hbar_zero() == winf_pb_structure(
                             n, m, k, l
                         )

@@ -2,12 +2,30 @@
 
 The operator and phase-space polynomials share one container, so the
 contract is checked for each class, and across them: values of the two
-algebras must never compare equal or combine.
+algebras must never compare equal or combine.  The container's stored
+form (numerators over one denominator) must stay canonical through
+every operation, since equality compares it structurally.
 """
 
-import pytest
+import math
+from fractions import Fraction
 
-from weylforge import HBAR, OpPoly, PhasePoly
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weylforge import (
+    HBAR,
+    GaussianRational,
+    OpPoly,
+    PhasePoly,
+    moyal_bracket,
+    ms,
+    ms_inverse,
+    star_product,
+)
+
+from strategies import same_dof
 
 CLASSES = [OpPoly, PhasePoly]
 
@@ -67,3 +85,44 @@ def test_unit_constant_and_power(cls):
     assert (q * 0).is_zero()
     with pytest.raises(ValueError):
         q ** -1
+
+
+def assert_canonical(p):
+    """The stored form: a positive denominator, no zero entry, and gcd 1
+    over the denominator and every numerator; rebuilt from its Scalar
+    items it comes back equal."""
+    numerators = [x for pair in p._terms.values() for x in pair]
+    assert p._den > 0
+    assert all(a or b for a, b in p._terms.values())
+    assert math.gcd(p._den, *numerators) == 1
+    assert type(p)(p.dof_count, dict(p.items())) == p
+
+
+_nonzero_gaussians = st.builds(
+    lambda a, b, d: GaussianRational(Fraction(a, d), Fraction(b, d)),
+    st.integers(-6, 6),
+    st.integers(-6, 6),
+    st.integers(1, 12),
+).filter(bool)
+
+
+@settings(max_examples=50)
+@given(same_dof(PhasePoly, PhasePoly, max_terms=2, min_hbar=0), _nonzero_gaussians)
+def test_results_are_canonical(pair, c):
+    f, g = pair
+    F, G = ms(f), ms(g)
+    FG = F * G
+    for p in (
+        f * g,
+        f + g,
+        FG,
+        F + G,
+        star_product(f, g),
+        moyal_bracket(f, g),
+        F,
+        ms_inverse(FG),
+    ):
+        assert_canonical(p)
+    # equal values reached over different denominators compare equal
+    assert (f * c) * c**-1 == f
+    assert (F * c) * c**-1 == F

@@ -22,6 +22,7 @@ from weylforge import (
     Scalar,
 )
 from weylforge.cli import run_command
+from weylforge.scalars import MAX_POWER_BITS
 from weylforge.sampling import random_gaussian, random_scalar
 
 
@@ -262,6 +263,22 @@ class TestPowers:
         start = time.perf_counter()
         assert run_command(["eval", "i^10000000"]) == (0, "1")
         assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("expression", ["(2/3)^10000000", "(1/3)^100000"])
+    def test_cli_oversized_power_exits_2_fast(self, expression):
+        start = time.perf_counter()
+        code, output = run_command(["eval", expression])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert f"exceeds the limit of {MAX_POWER_BITS} bits" in output
+
+    def test_power_size_is_bounded_before_work(self):
+        with pytest.raises(ValueError, match=f"limit of {MAX_POWER_BITS}"):
+            GaussianRational(Fraction(1, 3)) ** -100000
+        with pytest.raises(ValueError, match=f"limit of {MAX_POWER_BITS}"):
+            (S * 0 + Fraction(2, 3)) ** 100000
+        assert GaussianRational(0, 1) ** 10**7 == 1
+        assert GaussianRational(2) ** 5000 == 2**5000
 
 
 class TestConjugation:
