@@ -7,10 +7,9 @@ superoperator layer that computes the operator-side classical bracket,
 and truncated formal flows.  Everything is exact; nothing floats.
 """
 
-from .scalars import (
-    GaussianRational,
+from .scalars import GaussianRational, NegativeHbarPower
+from .polynomial import (
     Scalar,
-    NegativeHbarPower,
     ZERO,
     ONE,
     I,

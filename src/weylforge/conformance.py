@@ -31,17 +31,10 @@ from .phase import (
     winf_mb_closed_form,
     winf_pb_structure,
 )
+from .polynomial import HBAR, I, I_OVER_HBAR, ONE, S, Scalar
 from .render import render
 from .sampling import random_op_poly, random_phase_poly, random_scalar
-from .scalars import (
-    GaussianRational,
-    HBAR,
-    I,
-    I_OVER_HBAR,
-    ONE,
-    S,
-    Scalar,
-)
+from .scalars import GaussianRational
 from .superops import (
     _liouvillian_by_definition,
     ad_apply,

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .operators import OpPoly, commutator
 from .phase import PhasePoly, poisson_bracket
-from .scalars import NEG_I_OVER_HBAR
+from .polynomial import NEG_I_OVER_HBAR
 from .superops import _assert_no_inverse_hbar, _pmb_impl, liouvillian_apply
 from .wwgm import derivative_image, ms, ms_inverse
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from .dynamics import classical_flow_series, pmb_flow_series
 from .operators import OpPoly, commutator, t_monomial
 from .phase import PhasePoly, moyal_bracket, poisson_bracket, star_product
-from .scalars import HBAR, I, S, Scalar
+from .polynomial import HBAR, I, S, Scalar
 from .superops import diamond, pmb
 from .wwgm import ms, ms_inverse
 

@@ -11,7 +11,8 @@ the closed reordering identity
 min(m, n) + 1 terms, through which every product, adjoint and word is
 brought to normal form.  The kernel weights k! C(m,k) C(n,k) are ints;
 the products sum them per power of (-i*hbar) and apply each power once
-(see polynomial._kernel_terms).  Coefficients are exact (see scalars).
+(see polynomial._kernel_terms).  Coefficients are exact (see
+polynomial.Scalar).
 
 The module also provides the one-parameter family of ordered monomials
 interpolating between the standard (all positions left), antistandard,
@@ -27,8 +28,8 @@ import itertools
 import math
 from fractions import Fraction
 
-from .polynomial import SparsePoly, _kernel_terms
-from .scalars import GaussianRational, Scalar, ONE, _coerce_scalar
+from .polynomial import ONE, Scalar, SparsePoly, _coerce_scalar, _kernel_terms
+from .scalars import GaussianRational
 
 __all__ = [
     "OpPoly",
@@ -85,7 +86,7 @@ def _reversed(n, m, _k, _l):
 @functools.cache
 def _reorder_power(k):
     """(-i*hbar)^k, the class power of the reordering kernel."""
-    return Scalar._raw({(k, 0): _MINUS_I_POWERS[k % 4]})
+    return Scalar.term(k, 0, _MINUS_I_POWERS[k % 4])
 
 
 class OpPoly(SparsePoly):
@@ -186,7 +187,7 @@ def _exp_vector(value):
 def _t_power(k):
     """((1-s)/2)^k (-i*hbar)^k, the class power of the ordered monomials."""
     weight = _MINUS_I_POWERS[k % 4] * Fraction(1, 2**k)
-    return Scalar._raw(
+    return Scalar(
         {(k, j): weight * ((-1) ** j * math.comb(k, j)) for j in range(k + 1)}
     )
 

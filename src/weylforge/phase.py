@@ -19,14 +19,15 @@ import functools
 import math
 from fractions import Fraction
 
-from .polynomial import SparsePoly, _kernel_terms
-from .scalars import (
+from .polynomial import (
     ZERO,
     ONE,
     I,
     HBAR,
     S,
     NEG_I_OVER_HBAR,
+    SparsePoly,
+    _kernel_terms,
 )
 
 __all__ = [

@@ -1,4 +1,4 @@
-"""Sparse polynomial container shared by the operator and phase-space algebras.
+"""Sparse polynomial container of both algebras and of their coefficient ring.
 
 Storage: one flat map from (exponent vector, hbar exponent, s exponent)
 to a Gaussian-integer numerator (a, b), over one positive denominator
@@ -12,16 +12,33 @@ generator to the m_i.  The form is canonical: no entry is (0, 0),
 den > 0, and den and all numerators have gcd 1 (den is 1 for zero).
 Two polynomials of one class are therefore equal exactly when their
 maps and denominators are, and the stored form doubles as an identity
-certificate.  The format is known to this module alone.  Everything
-else sees Scalar coefficients: the constructor takes {key: Scalar},
-items() yields (key, Scalar), and flat_items() yields one
-GaussianRational per (key, hbar exponent, s exponent).
+certificate.  The format is known to this module alone.
+
+The coefficient ring, Gaussian rationals with formal hbar and s, is
+Scalar: the polynomial over no dofs, every entry stored under the empty
+exponent vector ().  A Scalar is a finite sum
+
+    sum_{k,j}  c[k,j] * hbar**k * s**j
+
+with Gaussian-rational c[k,j], integer k, and nonnegative integer j.
+Negative k (inverse powers of hbar) may appear in intermediate results;
+public bracket operations verify they have cancelled before returning.
+s is the ordering parameter of the rest of the package.  It stays
+formal through every computation; numeric values only ever enter
+through ``substitute`` / ``subs_s``, which are ring homomorphisms and
+therefore commute with everything else.
+
+Everything outside this module sees coefficients as Scalars: the
+constructor takes {key: Scalar}, items() yields (key, Scalar) (a
+Scalar's own items() yields ((hbar exponent, s exponent),
+GaussianRational)), and flat_items() yields one GaussianRational per
+(key, hbar exponent, s exponent).
 
 The algebras differ only in how two polynomials multiply, so each
 subclass supplies _product (and what only its algebra has, such as
 adjoint or derivative) and the rest lives here.  Values of different
 subclasses never mix: they compare unequal and refuse to add or
-multiply.
+multiply.  A Scalar mixes with every class, as a multiple of its unit.
 
 The operator product, the adjoint, the ordered monomials and their
 inverse, the star product and the Moyal bracket all factor per dof into
@@ -33,21 +50,39 @@ import functools
 from itertools import chain
 from math import gcd, lcm
 
-from .scalars import _CONJ_RULES, ONE, Scalar, _coerce_scalar, _new
+from .scalars import (
+    GaussianRational,
+    NegativeHbarPower,
+    _coerce_gaussian,
+    _frac,
+    _new,
+    _power,
+)
+
+_CONJ_RULES = ("fix_s", "negate_s")
 
 
 def _table(scalar):
     """A Scalar as (den, ((k, j, u, v), ...)) with positive den: the sum
-    of (u + v*i)/den hbar^k s^j over the rows.
-
-    Reads the GaussianRational triples (a, b, d) directly.
-    """
-    coeffs = scalar.items()
-    den = lcm(*(g._d for _, g in coeffs))
-    return den, tuple(
-        (k, j, g._a * (den // g._d), g._b * (den // g._d))
-        for (k, j), g in coeffs
+    of (u + v*i)/den hbar^k s^j over the rows."""
+    return scalar._den, tuple(
+        (k, j, u, v) for (_, k, j), (u, v) in scalar._terms.items()
     )
+
+
+def _number_table(g):
+    """The table of the GaussianRational g, a constant."""
+    return g._d, ((0, 0, g._a, g._b),)
+
+
+def _hbar_to_zero(k):
+    """The table of hbar^k as hbar -> 0: 1 at k == 0, 0 above, and an
+    error below."""
+    if k < 0:
+        raise NegativeHbarPower(
+            f"cannot take the hbar -> 0 limit of a term with hbar**{k}"
+        )
+    return 1, (((0, 0, 1, 0),) if k == 0 else ())
 
 
 @functools.cache
@@ -77,13 +112,14 @@ def _canonical(sums, den):
 
 
 def _summed(rows):
-    """Canonical (terms, den) of rows (key, k, j, GaussianRational)."""
+    """Canonical (terms, den) of rows (flat key, a, b, d), each standing
+    for (a + b*i)/d with positive d."""
     rows = list(rows)
-    den = lcm(*(g._d for *_, g in rows))
+    den = lcm(*(d for *_, d in rows))
     sums = {}
-    for key, k, j, g in rows:
-        scale = den // g._d
-        _add_to(sums, (key, k, j), g._a * scale, g._b * scale)
+    for slot, a, b, d in rows:
+        scale = den // d
+        _add_to(sums, slot, a * scale, b * scale)
     return _canonical(sums, den)
 
 
@@ -200,7 +236,10 @@ class SparsePoly:
                 key, coeff = _checked(key, coeff)
                 if len(key) != dof_count:
                     raise ValueError("exponent vector length != dof_count")
-                rows.extend((key, k, j, g) for (k, j), g in coeff.items())
+                rows.extend(
+                    ((key, k, j), a, b, coeff._den)
+                    for (_, k, j), (a, b) in coeff._terms.items()
+                )
         self.dof_count = dof_count
         self._terms, self._den = _summed(rows)
 
@@ -235,13 +274,20 @@ class SparsePoly:
         return cls._raw(dof_count, {(key, 0, 0): (1, 0)}, 1)
 
     @classmethod
-    def monomial(cls, exponents, coeff=ONE):
+    def monomial(cls, exponents, coeff=1):
         key, coeff = _checked(exponents, coeff)
         if not key:
             raise ValueError("dof_count must be a positive integer")
-        den, rows = _table(coeff)
+        return cls._placed(key, coeff)
+
+    @classmethod
+    def _placed(cls, key, scalar):
+        """A Scalar placed at the one exponent vector key, as a cls over
+        len(key) dofs."""
         return cls._raw(
-            len(key), {(key, k, j): (u, v) for k, j, u, v in rows}, den
+            len(key),
+            {(key, k, j): ab for (_, k, j), ab in scalar._terms.items()},
+            scalar._den,
         )
 
     def __bool__(self):
@@ -260,9 +306,12 @@ class SparsePoly:
     def items(self):
         """(key, Scalar) pairs: the coefficients rebuilt at the edge."""
         grouped = {}
-        for key, k, j, g in self.flat_items():
-            grouped.setdefault(key, {})[k, j] = g
-        return {key: Scalar._raw(c) for key, c in grouped.items()}.items()
+        for (key, k, j), ab in self._terms.items():
+            grouped.setdefault(key, {})[(), k, j] = ab
+        return {
+            key: Scalar._raw(0, *_canonical(terms, self._den))
+            for key, terms in grouped.items()
+        }.items()
 
     def sorted_terms(self):
         return sorted(self.items())
@@ -307,7 +356,7 @@ class SparsePoly:
             scalar = _coerce_scalar(other)
             if scalar is None:
                 return NotImplemented
-            other = self.constant(scalar, self.dof_count)
+            other = self._placed(((0, 0),) * self.dof_count, scalar)
         return self._plus(other, 1)
 
     __radd__ = __add__
@@ -356,7 +405,7 @@ class SparsePoly:
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("powers must be nonnegative integers")
-        out = self.constant(ONE, self.dof_count)
+        out = self._placed(((0, 0),) * self.dof_count, ONE)
         for _ in range(exponent):
             out = out * self
         return out
@@ -395,7 +444,7 @@ class SparsePoly:
         return self._raw(self.dof_count, *_canonical(sums, self._den))
 
     def _conjugate(self, s_rule):
-        """Conjugate every coefficient under the s_rule of Scalar.conjugate."""
+        """Conjugate every coefficient under an s_rule (see Scalar.conjugate)."""
         if s_rule not in _CONJ_RULES:
             raise ValueError(
                 f"unknown s_rule {s_rule!r}; expected one of {_CONJ_RULES}"
@@ -410,11 +459,18 @@ class SparsePoly:
             self._den,
         )
 
-    def _map_exponents(self, hbar_factor, s_factor):
-        """Replace every hbar^k s^j by the Scalar hbar_factor(k) *
-        s_factor(j), each factor taken once per exponent."""
-        hbars = {k: _table(hbar_factor(k)) for k in {k for _, k, _ in self._terms}}
-        ss = {j: _table(s_factor(j)) for j in {j for _, _, j in self._terms}}
+    def _map_exponents(self, hbar_factor=None, s_factor=None):
+        """Replace every hbar^k s^j by the product of the tables (see
+        _table) hbar_factor(k) and s_factor(j), each taken once per
+        exponent; a factor of None keeps its power as it is."""
+        hbars = {
+            k: hbar_factor(k) if hbar_factor else (1, ((k, 0, 1, 0),))
+            for k in {k for _, k, _ in self._terms}
+        }
+        ss = {
+            j: s_factor(j) if s_factor else (1, ((0, j, 1, 0),))
+            for j in {j for _, _, j in self._terms}
+        }
         den_h = lcm(*(d for d, _ in hbars.values()))
         den_s = lcm(*(d for d, _ in ss.values()))
         sums = {}
@@ -432,25 +488,42 @@ class SparsePoly:
         )
 
     def substitute(self, s_value=None, hbar_value=None):
-        """Evaluate at a numeric s and/or hbar (see Scalar.substitute)."""
-        return self._map_exponents(
-            lambda k: Scalar.term(k, 0).substitute(hbar_value=hbar_value),
-            lambda j: Scalar.term(0, j).substitute(s_value=s_value),
-        )
+        """Evaluate at a numeric s and/or hbar; None leaves it formal.
+
+        s_value may be any Gaussian rational; hbar_value must be a plain
+        rational.  Substituting hbar = 0 into a term holding a negative
+        hbar power raises ZeroDivisionError, as division by zero should.
+        """
+        if s_value is None and hbar_value is None:
+            return self
+        hbar_factor = s_factor = None
+        if s_value is not None:
+            s = _coerce_gaussian(s_value)
+            if s is None:
+                raise TypeError("s_value must be an exact Gaussian rational")
+            s_factor = lambda j: _number_table(_power(_new(1, 0, 1), s, j))
+        if hbar_value is not None:
+            h = _frac(hbar_value)
+            # 0**negative raises ZeroDivisionError
+            hbar_factor = lambda k: _number_table(_coerce_gaussian(h**k))
+        return self._map_exponents(hbar_factor, s_factor)
 
     def subs_s(self, value):
-        """Substitute a Scalar for s (see Scalar.subs_s)."""
-        return self._map_exponents(
-            lambda k: Scalar.term(k, 0), lambda j: Scalar.term(0, j).subs_s(value)
-        )
+        """Substitute a Scalar for s (polynomial composition).
+
+        ``a.subs_s(S)`` is the identity; ``a.subs_s(-S)`` negates s.  The
+        replacement value may involve hbar.
+        """
+        if not isinstance(value, Scalar):
+            raise TypeError("subs_s expects a Scalar replacement")
+        return self._map_exponents(s_factor=lambda j: _table(value**j))
 
     def limit_hbar_zero(self):
         """Drop every positive power of hbar; negative powers are an error."""
-        return self._map_exponents(
-            lambda k: Scalar.term(k, 0).limit_hbar_zero(), lambda j: Scalar.term(0, j)
-        )
+        return self._map_exponents(hbar_factor=_hbar_to_zero)
 
     def min_hbar_exp(self):
+        """Lowest hbar exponent present, or None when zero."""
         return min((k for _, k, _ in self._terms), default=None)
 
     def depends_on_s(self):
@@ -466,3 +539,137 @@ class SparsePoly:
             return f"{name}.zero({self.dof_count})"
         bits = [f"{key}: {coeff!r}" for key, coeff in self.sorted_terms()]
         return name + "{" + ", ".join(bits) + "}"
+
+
+class Scalar(SparsePoly):
+    """A polynomial in formal s times a Laurent polynomial in hbar.
+
+    The SparsePoly over no dofs: every entry sits at the empty exponent
+    vector, so the ring operations, the hbar and s maps and the
+    canonical form are the container's.  It is the coefficient type at
+    the package's edges: polynomial constructors take it, items() hands
+    out ((hbar_exp, s_exp), GaussianRational) pairs, and expressions
+    evaluate to it.  A constant equals, and hashes like, the int,
+    Fraction or GaussianRational it stands for.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, terms=None):
+        rows = []
+        if terms:
+            for key, coeff in terms.items():
+                k, j = key
+                if not isinstance(k, int) or not isinstance(j, int):
+                    raise TypeError("Scalar exponents must be integers")
+                if j < 0:
+                    raise ValueError("negative powers of s are not part of the ring")
+                coeff = _coerce_gaussian(coeff)
+                if coeff is None:
+                    raise TypeError("Scalar coefficients must be Gaussian rationals")
+                rows.append((((), k, j), coeff._a, coeff._b, coeff._d))
+        self.dof_count = 0
+        self._terms, self._den = _summed(rows)
+
+    @classmethod
+    def constant(cls, re, im=0):
+        if isinstance(re, GaussianRational):
+            return _scalar(re + GaussianRational(0, 1) * im)
+        return _scalar(GaussianRational(re, im))
+
+    @classmethod
+    def term(cls, hbar_exp, s_exp, coeff=1):
+        coeff = _coerce_gaussian(coeff)
+        if coeff is None:
+            raise TypeError("Scalar coefficients must be Gaussian rationals")
+        return _scalar(coeff, hbar_exp, s_exp)
+
+    def items(self):
+        """((hbar_exp, s_exp), GaussianRational) pairs."""
+        return {(k, j): g for _, k, j, g in self.flat_items()}.items()
+
+    def __eq__(self, other):
+        other = _coerce_scalar(other)
+        if other is None:
+            return NotImplemented
+        return self._den == other._den and self._terms == other._terms
+
+    def __hash__(self):
+        # A constant equals its coefficient (and zero equals 0), so it
+        # must hash like one.
+        constant = self.as_constant()
+        if constant is not None:
+            return hash(constant)
+        return hash(tuple(self.sorted_terms()))
+
+    def as_constant(self):
+        """The value as a GaussianRational when free of hbar and s, else None."""
+        if not self._terms:
+            return GaussianRational(0)
+        if len(self._terms) == 1:
+            got = self._terms.get(((), 0, 0))
+            if got is not None:
+                return _new(*got, self._den)
+        return None
+
+    def _product(self, other):
+        return self._convolved(other)
+
+    def __pow__(self, exponent):
+        """Nonnegative int power: a constant through the bounded
+        GaussianRational power, anything else by repeated squaring."""
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("Scalar powers must be nonnegative integers")
+        constant = self.as_constant()
+        if constant is not None:
+            return _scalar(constant**exponent)
+        return _power(ONE, self, exponent)
+
+    def conjugate(self, s_rule="fix_s"):
+        """Complex conjugation, with a declared convention for formal s.
+
+        ``fix_s`` treats s as real (s stays put); ``negate_s`` treats s as
+        pure imaginary (s -> -s alongside i -> -i).  Both are involutions.
+        """
+        return self._conjugate(s_rule)
+
+    def negate_s(self):
+        """Substitute s -> -s."""
+        return self.subs_s(-S)
+
+    def __repr__(self):
+        if not self._terms:
+            return "Scalar(0)"
+        bits = []
+        for (k, j), coeff in self.sorted_terms():
+            piece = f"({coeff.re}{'+' if coeff.im >= 0 else '-'}{abs(coeff.im)}i)"
+            if k:
+                piece += f"*hbar^{k}"
+            if j:
+                piece += f"*s^{j}"
+            bits.append(piece)
+        return "Scalar(" + " + ".join(bits) + ")"
+
+
+def _scalar(g, hbar_exp=0, s_exp=0):
+    """The GaussianRational g times hbar^hbar_exp s^s_exp, as a Scalar."""
+    terms = {((), hbar_exp, s_exp): (g._a, g._b)} if g else {}
+    return Scalar._raw(0, terms, g._d)
+
+
+def _coerce_scalar(value):
+    """value as a Scalar, or None when it is not an exact coefficient."""
+    if isinstance(value, Scalar):
+        return value
+    g = _coerce_gaussian(value)
+    return None if g is None else _scalar(g)
+
+
+ZERO = Scalar()
+ONE = Scalar.constant(1)
+I = Scalar.constant(0, 1)
+HBAR = Scalar.term(1, 0)
+S = Scalar.term(0, 1)
+I_OVER_HBAR = Scalar.term(-1, 0, GaussianRational(0, 1))
+# 1/(i*hbar) = -i/hbar, so this constant serves both roles.
+NEG_I_OVER_HBAR = Scalar.term(-1, 0, GaussianRational(0, -1))

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 from .operators import OpPoly
 from .phase import PhasePoly
-from .scalars import GaussianRational, Scalar
+from .polynomial import Scalar
+from .scalars import GaussianRational
 
 __all__ = [
     "random_fraction",

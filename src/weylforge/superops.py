@@ -52,7 +52,8 @@ from fractions import Fraction
 
 from .operators import OpPoly, _exp_vector, commutator
 from .phase import PhasePoly, poisson_bracket
-from .scalars import HBAR, I, ONE, S, I_OVER_HBAR, NEG_I_OVER_HBAR, NegativeHbarPower
+from .polynomial import HBAR, I, ONE, S, I_OVER_HBAR, NEG_I_OVER_HBAR
+from .scalars import NegativeHbarPower
 from .wwgm import ms, ms_inverse
 
 __all__ = [

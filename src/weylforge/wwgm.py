@@ -16,7 +16,7 @@ is checked there against the paper's four superoperator forms.
 
 from .operators import OpPoly, _t_inverse_power, _t_pass, _t_power, commutator
 from .phase import PhasePoly, moyal_bracket
-from .scalars import I_OVER_HBAR, NEG_I_OVER_HBAR
+from .polynomial import I_OVER_HBAR, NEG_I_OVER_HBAR
 
 __all__ = [
     "ms",

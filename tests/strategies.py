@@ -20,7 +20,8 @@ _gaussians = st.builds(
 )
 
 
-def _scalars(min_hbar):
+def scalars(min_hbar=-2):
+    """Nonzero Scalars of one or two terms, hbar exponents from min_hbar."""
     exponents = st.tuples(st.integers(min_hbar, 2), st.integers(0, 2))
     return st.dictionaries(exponents, _gaussians, min_size=1, max_size=2).map(
         Scalar
@@ -30,7 +31,7 @@ def _scalars(min_hbar):
 def _polys(cls, dof_count, max_exp=2, max_terms=3, min_hbar=-2):
     block = st.tuples(st.integers(0, max_exp), st.integers(0, max_exp))
     key = st.tuples(*[block] * dof_count)
-    terms = st.dictionaries(key, _scalars(min_hbar), max_size=max_terms)
+    terms = st.dictionaries(key, scalars(min_hbar), max_size=max_terms)
     return terms.map(lambda t: cls(dof_count, t))
 
 

@@ -7,25 +7,31 @@ form (numerators over one denominator) must stay canonical through
 every operation, since equality compares it structurally.
 """
 
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weylforge
 from weylforge import (
     HBAR,
+    ONE,
+    S,
     GaussianRational,
     OpPoly,
     PhasePoly,
+    Scalar,
     moyal_bracket,
     ms,
     ms_inverse,
     star_product,
 )
 
-from strategies import same_dof
+from strategies import same_dof, scalars
 
 CLASSES = [OpPoly, PhasePoly]
 
@@ -126,3 +132,52 @@ def test_results_are_canonical(pair, c):
     # equal values reached over different denominators compare equal
     assert (f * c) * c**-1 == f
     assert (F * c) * c**-1 == F
+
+
+def assert_scalar_canonical(x):
+    """A Scalar is stored as the polynomial over no dofs, in the same
+    canonical form."""
+    numerators = [n for pair in x._terms.values() for n in pair]
+    assert type(x) is Scalar and x.dof_count == 0
+    assert x._den > 0
+    assert all(a or b for a, b in x._terms.values())
+    assert math.gcd(x._den, *numerators) == 1
+
+
+@settings(max_examples=50, derandomize=True)
+@given(scalars(), scalars(), scalars(min_hbar=0), _nonzero_gaussians)
+def test_scalar_results_are_canonical(x, y, z, c):
+    for result in (
+        x + y,
+        x - y,
+        x * y,
+        *(x**n for n in range(5)),
+        x.conjugate("fix_s"),
+        x.conjugate("negate_s"),
+        x.negate_s(),
+        x.substitute(s_value=Fraction(1, 2)),
+        x.subs_s(ONE - S),
+        z.limit_hbar_zero(),
+    ):
+        assert_scalar_canonical(result)
+    assert Scalar(dict(x.items())) == x
+    back = (x * c) * c**-1
+    assert back == x and hash(back) == hash(x)
+
+
+def test_only_the_core_modules_see_the_storage():
+    """The stored form (_terms, _den, _raw) and GaussianRational's integer
+    triple (_a, _b, _d) are read in polynomial.py and scalars.py alone."""
+    private = {"_terms", "_den", "_raw", "_a", "_b", "_d"}
+    seen = {}
+    for path in sorted(Path(weylforge.__file__).parent.glob("*.py")):
+        if path.name in ("polynomial.py", "scalars.py"):
+            continue
+        used = private & {
+            node.attr
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+        }
+        if used:
+            seen[path.name] = sorted(used)
+    assert seen == {}
