@@ -25,10 +25,10 @@ plus potential).
 import math
 from fractions import Fraction
 
-from .operators import OpPoly, commutator
+from .operators import OpPoly
 from .phase import PhasePoly, poisson_bracket
 from .polynomial import NEG_I_OVER_HBAR
-from .superops import _assert_no_inverse_hbar, _pmb_impl, liouvillian_apply
+from .superops import _assert_no_inverse_hbar, _pmb_impl, ad_apply, liouvillian_apply
 from .wwgm import derivative_image, ms, ms_inverse
 
 __all__ = [
@@ -110,10 +110,9 @@ def _check_order(order):
 def hamilton_rhs(H, dof_index=0):
     """Right-hand sides of the generator equations of motion.
 
-    Returns (qdot, pdot) for one dof: 1/(i*hbar) times the commutator of
-    each generator with the operator image of H, which are the images of
-    dH/dp and -dH/dq (see wwgm.derivative_image), reduced to normal form
-    with the hbar division done exactly.
+    Returns (qdot, pdot) for one dof: the images of dH/dp and -dH/dq,
+    1/(i*hbar) [qhat, ms(H)] and [phat, ms(H)], taken as derivatives of
+    ms(H) (see wwgm.derivative_image) with no commutator or hbar division.
     """
     return (
         _assert_no_inverse_hbar(derivative_image(H, "p", dof_index)),
@@ -231,7 +230,7 @@ def observable_rhs(f, g, H):
         p_i = OpPoly.generator("p", i, dof)
         f_dot = f_dot + liouvillian_apply(f.derivative("q", i), p_i)
         g_dot = g_dot + liouvillian_apply(
-            g.derivative("p", i), commutator(p_i, V_op)
+            g.derivative("p", i), ad_apply(("p", i), V_op)
         )
     f_dot = f_dot * Fraction(1, mass) if mass != 1 else f_dot
     g_dot = g_dot * NEG_I_OVER_HBAR

@@ -70,24 +70,6 @@ class PhasePoly(SparsePoly):
     def _product(self, other):
         return self._convolved(other)
 
-    def derivative(self, var, dof_index=0):
-        """Formal partial derivative in q or p of one dof."""
-        if var not in ("q", "p"):
-            raise ValueError(f"var must be 'q' or 'p', got {var!r}")
-        if not 0 <= dof_index < self.dof_count:
-            raise IndexError("dof_index out of range")
-        slot = 0 if var == "q" else 1
-
-        def lowered(key):
-            exponent = key[dof_index][slot]
-            if exponent == 0:
-                return None
-            block = list(key[dof_index])
-            block[slot] = exponent - 1
-            return key[:dof_index] + (tuple(block),) + key[dof_index + 1:], exponent
-
-        return self._rekeyed(lowered)
-
 
 def poisson_bracket(f, g):
     """sum_i d_p f d_q g - d_q f d_p g, so that {q, p} comes out -1."""

@@ -35,8 +35,8 @@ GaussianRational)), and flat_items() yields one GaussianRational per
 (key, hbar exponent, s exponent).
 
 The algebras differ only in how two polynomials multiply, so each
-subclass supplies _product (and what only its algebra has, such as
-adjoint or derivative) and the rest lives here.  Values of different
+subclass supplies _product (and what only its algebra has, such as the
+adjoint) and the rest, the derivative too, lives here.  Values of different
 subclasses never mix: they compare unequal and refuse to add or
 multiply.  A Scalar mixes with every class, as a multiple of its unit.
 
@@ -443,6 +443,25 @@ class SparsePoly:
                 _add_to(sums, (key, k, j), a * weight, b * weight)
         return self._raw(self.dof_count, *_canonical(sums, self._den))
 
+    def derivative(self, var, dof_index=0):
+        """Formal partial derivative in q or p of one dof (on an OpPoly, the
+        adjoint action of the conjugate generator over +-i*hbar)."""
+        if var not in ("q", "p"):
+            raise ValueError(f"var must be 'q' or 'p', got {var!r}")
+        if not 0 <= dof_index < self.dof_count:
+            raise IndexError("dof_index out of range")
+        slot = 0 if var == "q" else 1
+
+        def lowered(key):
+            exponent = key[dof_index][slot]
+            if exponent == 0:
+                return None
+            block = list(key[dof_index])
+            block[slot] = exponent - 1
+            return key[:dof_index] + (tuple(block),) + key[dof_index + 1:], exponent
+
+        return self._rekeyed(lowered)
+
     def _conjugate(self, s_rule):
         """Conjugate every coefficient under an s_rule (see Scalar.conjugate)."""
         if s_rule not in _CONJ_RULES:
@@ -570,6 +589,16 @@ class Scalar(SparsePoly):
                 rows.append((((), k, j), coeff._a, coeff._b, coeff._d))
         self.dof_count = 0
         self._terms, self._den = _summed(rows)
+
+    @classmethod
+    def zero(cls):
+        return ZERO
+
+    @classmethod
+    def generator(cls, *_args, **_kwargs):
+        raise TypeError("a Scalar has no dofs, so no generator or monomial")
+
+    monomial = generator
 
     @classmethod
     def constant(cls, re, im=0):

@@ -13,12 +13,12 @@ side, and qh^n ph^m qh also lowers m:
     ph * F = qh^n ph^(m+1) + n (-i*hbar) qh^(n-1) ph^m
     F * ph = qh^n ph^(m+1)
 
-so the map is twice the raised term plus the lowered term times
-(1 - sigma*s) m (-i*hbar) for qh, or (1 + sigma*s) n (-i*hbar) for ph:
-one pass over F, no operator product.  Position generators enter
-with sigma=+1 and momentum generators with sigma=-1 in the normalized
-ordering superoperator, whose action on the identity produces the
-ordered monomials.  Summing ordering superoperators with the
+so the map is twice the raised term plus count x lowered term, which is
+dF/dph for qh and dF/dqh for ph (as in ad_apply), times (1 - sigma*s)
+(-i*hbar) or (1 + sigma*s) (-i*hbar): no operator product.  Position
+generators enter with sigma=+1 and momentum generators with sigma=-1 in
+the normalized ordering superoperator, whose action on the identity
+produces the ordered monomials.  Summing ordering superoperators with the
 coefficients of a phase-space polynomial gives its Liouvillian; these
 all commute with one another as maps.
 
@@ -50,7 +50,7 @@ of total degree above operators.MAX_T_DEGREE (ValueError).
 import functools
 from fractions import Fraction
 
-from .operators import OpPoly, _exp_vector, commutator
+from .operators import OpPoly, _exp_vector
 from .phase import PhasePoly, poisson_bracket
 from .polynomial import HBAR, I, ONE, S, I_OVER_HBAR, NEG_I_OVER_HBAR
 from .scalars import NegativeHbarPower
@@ -68,16 +68,20 @@ __all__ = [
 ]
 
 
-def _generator_tag(gen):
-    """Split a generator tag: 'q', 'p', or ('q'|'p', dof_index)."""
-    if isinstance(gen, str):
-        return gen, 0
-    return gen
+def _generator_tag(gen, F):
+    """(kind, dof_index) of a tag 'q', 'p' or (kind, dof_index) on F; a
+    non-OpPoly F, another kind or index out of range raises."""
+    if not isinstance(F, OpPoly):
+        raise TypeError("generators act on OpPoly operands")
+    kind, index = (gen, 0) if isinstance(gen, str) else gen
+    if kind not in ("q", "p"):
+        raise ValueError(f"kind must be 'q' or 'p', got {kind!r}")
+    if not 0 <= index < F.dof_count:
+        raise IndexError("dof_index out of range")
+    return kind, index
 
 
-def _generator_of(gen, dof_count):
-    kind, dof_index = _generator_tag(gen)
-    return OpPoly.generator(kind, dof_index, dof_count)
+_I_HBAR = I * HBAR
 
 
 @functools.cache
@@ -90,36 +94,23 @@ def t_super_apply(gen, sigma, F):
     """Two-sided multiplication by a generator with s-dependent weights.
 
     (1 + sigma*s) A F + (1 - sigma*s) F A for A = qh_i or ph_i, taken
-    term by term over F by the closed form in the module docstring: each
-    term gives 2 F at the raised block and, when the lowered exponent
-    count is nonzero, count (1 -+ sigma*s) (-i*hbar) F at the lowered
-    block, with minus for qh, whose lowering comes from F * qh, and plus
-    for ph, whose lowering comes from ph * F.  sigma must be +1 or -1
-    and flips the sign of s in the weights.
+    by the closed form in the module docstring: 2 F at the raised block
+    plus (1 -+ sigma*s) (-i*hbar) times the derivative of F in the
+    conjugate generator, minus for qh and plus for ph.  sigma must be +1
+    or -1 and flips the sign of s in the weights.
     """
     if sigma not in (1, -1):
         raise ValueError("sigma must be +1 or -1")
-    kind, index = _generator_tag(gen)
-    if kind not in ("q", "p"):
-        raise ValueError(f"kind must be 'q' or 'p', got {kind!r}")
-    if not 0 <= index < F.dof_count:
-        raise IndexError("dof_index out of range")
-
-    def at(key, block):
-        return key[:index] + (block,) + key[index + 1:]
+    kind, index = _generator_tag(gen, F)
 
     def raised(key):
         n, m = key[index]
-        return at(key, (n + 1, m) if kind == "q" else (n, m + 1)), 2
-
-    def lowered(key):
-        n, m = key[index]
-        if kind == "q":
-            return (at(key, (n, m - 1)), m) if m else None
-        return (at(key, (n - 1, m)), n) if n else None
+        block = (n + 1, m) if kind == "q" else (n, m + 1)
+        return key[:index] + (block,) + key[index + 1:], 2
 
     sign = -sigma if kind == "q" else sigma
-    return F._rekeyed(raised) + F._rekeyed(lowered) * _lowering_factor(sign)
+    lowered = F.derivative("p" if kind == "q" else "q", index)
+    return F._rekeyed(raised) + lowered * _lowering_factor(sign)
 
 
 def _dof_exponents(value, dof_count):
@@ -206,8 +197,12 @@ def liouvillian_apply(f, F):
 
 
 def ad_apply(gen, F):
-    """Adjoint action of a generator: commutator(A, F)."""
-    return commutator(_generator_of(gen, F.dof_count), F)
+    """Adjoint action [A, F] in one pass: i*hbar dF/dph_i for A = qh_i,
+    -i*hbar dF/dqh_i for A = ph_i."""
+    kind, index = _generator_tag(gen, F)
+    if kind == "q":
+        return F.derivative("p", index) * _I_HBAR
+    return F.derivative("q", index) * (-_I_HBAR)
 
 
 def diamond(F, G):

@@ -16,7 +16,7 @@ is checked there against the paper's four superoperator forms.
 
 from .operators import OpPoly, _t_inverse_power, _t_pass, _t_power, commutator
 from .phase import PhasePoly, moyal_bracket
-from .polynomial import I_OVER_HBAR, NEG_I_OVER_HBAR
+from .polynomial import I_OVER_HBAR
 
 __all__ = [
     "ms",
@@ -46,23 +46,17 @@ def ms_inverse(F):
 
 
 def derivative_image(f, var, dof_index=0):
-    """Image of a partial derivative of f, computed without derivatives.
+    """Image of a partial derivative of f: the same derivative of ms(f).
 
-    Uses the adjoint action of the conjugate generator on ms(f):
+    It is the adjoint action of the conjugate generator on ms(f),
 
         image of d_p f = -(i/hbar) [qhat, ms(f)]
         image of d_q f =  (i/hbar) [phat, ms(f)]
 
-    and equals ms(f.derivative(var, dof_index)) identically.
+    each commutator being +-i*hbar times that derivative (ad_apply).  It
+    equals ms(f.derivative(var, dof_index)) identically.
     """
-    if var not in ("q", "p"):
-        raise ValueError(f"var must be 'q' or 'p', got {var!r}")
-    F = ms(f)
-    if var == "p":
-        gen = OpPoly.generator("q", dof_index, f.dof_count)
-        return commutator(gen, F) * NEG_I_OVER_HBAR
-    gen = OpPoly.generator("p", dof_index, f.dof_count)
-    return commutator(gen, F) * I_OVER_HBAR
+    return ms(f).derivative(var, dof_index)
 
 
 def antihom_check(f, g):

@@ -19,6 +19,7 @@ from weylforge import (
     OpPoly,
     OpWord,
     PhasePoly,
+    ad_apply,
     moyal_bracket,
     ms,
     ms_inverse,
@@ -57,6 +58,7 @@ class TestAgainstDefinitions:
                     right = F * A * (ONE - S * sigma)
                     got = t_super_apply((kind, index), sigma, F)
                     assert got == left + right
+                assert ad_apply((kind, index), F) == A * F - F * A
 
     @given(same_dof(OpPoly, OpPoly))
     def test_product_is_the_normal_form_of_concatenated_words(self, pair):

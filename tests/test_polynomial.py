@@ -21,6 +21,7 @@ from weylforge import (
     HBAR,
     ONE,
     S,
+    ZERO,
     GaussianRational,
     OpPoly,
     PhasePoly,
@@ -163,6 +164,20 @@ def test_scalar_results_are_canonical(x, y, z, c):
     assert Scalar(dict(x.items())) == x
     back = (x * c) * c**-1
     assert back == x and hash(back) == hash(x)
+
+
+def test_scalar_has_no_dofs():
+    """The ring is the polynomial over no dofs: its zero is ZERO, and it
+    builds no generator, no monomial and no derivative."""
+    zero = Scalar.zero()
+    assert zero == ZERO and zero.dof_count == 0
+    assert zero + ONE == ONE
+    with pytest.raises(TypeError):
+        Scalar.generator("q")
+    with pytest.raises(TypeError):
+        Scalar.monomial(((1, 0),))
+    with pytest.raises(IndexError):
+        HBAR.derivative("q")
 
 
 def test_only_the_core_modules_see_the_storage():

@@ -88,6 +88,31 @@ class TestTwoSidedMaps:
         assert got == OpPoly.generator("p", 1, dof_count=2) * 2
 
 
+# Both generator maps share one check of the generator and the operand.
+GENERATOR_MAPS = [
+    pytest.param(functools.partial(t_super_apply, sigma=1), id="t_super_apply"),
+    pytest.param(ad_apply, id="ad_apply"),
+]
+
+
+@pytest.mark.parametrize("apply", GENERATOR_MAPS)
+class TestGeneratorChecks:
+    def test_bad_kind(self, apply):
+        with pytest.raises(ValueError):
+            apply(("x", 0), F=IDENT)
+
+    def test_index_out_of_range(self, apply):
+        with pytest.raises(IndexError):
+            apply(("q", 1), F=IDENT)
+        with pytest.raises(IndexError):
+            apply(("p", -1), F=OpPoly.identity(2))
+
+    def test_non_operator_operand(self, apply):
+        for operand in (PhasePoly.generator("q"), PhasePoly.zero(), ONE):
+            with pytest.raises(TypeError):
+                apply("q", F=operand)
+
+
 class TestOrderingSuperop:
     def test_identity_yields_ordered_monomial(self):
         for n in range(4):
