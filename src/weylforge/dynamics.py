@@ -27,8 +27,7 @@ from fractions import Fraction
 
 from .operators import OpPoly
 from .phase import PhasePoly, poisson_bracket
-from .polynomial import NEG_I_OVER_HBAR
-from .superops import _assert_no_inverse_hbar, _pmb_impl, ad_apply, liouvillian_apply
+from .superops import _assert_no_inverse_hbar, _pmb_impl, liouvillian_apply
 from .wwgm import derivative_image, ms, ms_inverse
 
 __all__ = [
@@ -213,7 +212,9 @@ def observable_rhs(f, g, H):
         Fdot = (1/m) sum_i L(d_qi f)(phat_i)
         Gdot = -(i/hbar) sum_i L(d_pi g)([phat_i, ms(V)])
 
-    both equal to the pmb bracket with ms(H) in the first slot.
+    both equal to the pmb bracket with ms(H) in the first slot.  Since
+    [phat_i, ms V] = -i*hbar d ms(V)/dqhat_i, the Gdot term is taken as
+    -L(d_pi g)(d ms(V)/dqhat_i), with no factor of hbar to cancel.
     """
     f._check_dof(g)
     f._check_dof(H)
@@ -229,9 +230,6 @@ def observable_rhs(f, g, H):
     for i in range(dof):
         p_i = OpPoly.generator("p", i, dof)
         f_dot = f_dot + liouvillian_apply(f.derivative("q", i), p_i)
-        g_dot = g_dot + liouvillian_apply(
-            g.derivative("p", i), ad_apply(("p", i), V_op)
-        )
+        g_dot = g_dot - liouvillian_apply(g.derivative("p", i), V_op.derivative("q", i))
     f_dot = f_dot * Fraction(1, mass) if mass != 1 else f_dot
-    g_dot = g_dot * NEG_I_OVER_HBAR
     return _assert_no_inverse_hbar(f_dot), _assert_no_inverse_hbar(g_dot)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from .dynamics import classical_flow_series, pmb_flow_series
 from .operators import OpPoly, commutator, t_monomial
 from .phase import PhasePoly, moyal_bracket, poisson_bracket, star_product
-from .polynomial import HBAR, I, S, Scalar
+from .polynomial import HBAR, I, S, Scalar, _checked_dof_count
 from .superops import diamond, pmb
 from .wwgm import ms, ms_inverse
 
@@ -422,6 +422,4 @@ def _eval_operand(node, dof_count):
 
 def evaluate(node, dof_count=1):
     """Interpret a parsed tree; returns (kind, value)."""
-    if not isinstance(dof_count, int) or dof_count < 1:
-        raise ValueError("dof_count must be a positive integer")
-    return _eval(node, dof_count)
+    return _eval(node, _checked_dof_count(dof_count))

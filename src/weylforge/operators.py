@@ -23,7 +23,6 @@ and symmetric arrangements, in the closed form
 together with the change of basis in both directions.
 """
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -55,7 +54,6 @@ _MINUS_I_POWERS = (
 )
 
 
-@functools.cache
 def _dof_pair(n1, m1, n2, m2):
     """Kernel of (qh^n1 ph^m1)(qh^n2 ph^m2) within one dof.
 
@@ -83,7 +81,6 @@ def _reversed(n, m, _k, _l):
     return _dof_pair(0, m, n, 0)
 
 
-@functools.cache
 def _reorder_power(k):
     """(-i*hbar)^k, the class power of the reordering kernel."""
     return Scalar.term(k, 0, _MINUS_I_POWERS[k % 4])
@@ -183,7 +180,6 @@ def _exp_vector(value):
     return out
 
 
-@functools.cache
 def _t_power(k):
     """((1-s)/2)^k (-i*hbar)^k, the class power of the ordered monomials."""
     weight = _MINUS_I_POWERS[k % 4] * Fraction(1, 2**k)
@@ -237,7 +233,6 @@ def t_monomial(n, m):
     return _t_pass(OpPoly, OpPoly.monomial(key), _t_power)
 
 
-@functools.cache
 def _t_inverse_power(k):
     """(-(1-s)/2)^k (-i*hbar)^k, the class power of the inverse expansion."""
     return _t_power(k) if k % 2 == 0 else -_t_power(k)

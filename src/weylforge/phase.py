@@ -15,7 +15,6 @@ deformed bracket then satisfies {q, p} = -i*hbar and contracts onto the
 Poisson bracket after dividing by i*hbar and dropping hbar.
 """
 
-import functools
 import math
 from fractions import Fraction
 
@@ -81,7 +80,6 @@ def poisson_bracket(f, g):
     return out
 
 
-@functools.cache
 def _star_single(n, m, k, l):
     """One-dof star kernel of q^n p^m against q^k p^l.
 
@@ -104,14 +102,12 @@ def _star_single(n, m, k, l):
     )
 
 
-@functools.cache
 def _star_power(pairings):
     """A^a B^b for the class a + b*_PAIRINGS."""
     b, a = divmod(pairings, _PAIRINGS)
     return _STAR_A**a * _STAR_B**b
 
 
-@functools.cache
 def _moyal_power(pairings):
     """A^a B^b - A^b B^a for the class a + b*_PAIRINGS; zero when a == b."""
     b, a = divmod(pairings, _PAIRINGS)

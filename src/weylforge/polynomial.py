@@ -123,6 +123,23 @@ def _summed(rows):
     return _canonical(sums, den)
 
 
+def _checked_dof_count(dof_count):
+    """dof_count itself, once checked to be a positive int."""
+    if not isinstance(dof_count, int) or dof_count < 1:
+        raise ValueError("dof_count must be a positive integer")
+    return dof_count
+
+
+def _checked_exponents(k, j):
+    """(hbar exponent, s exponent) of a Scalar entry, once checked: ints,
+    with no negative power of s."""
+    if not isinstance(k, int) or not isinstance(j, int):
+        raise TypeError("Scalar exponents must be integers")
+    if j < 0:
+        raise ValueError("negative powers of s are not part of the ring")
+    return k, j
+
+
 def _checked(key, coeff):
     """(exponent vector, Scalar) from a caller's key and coefficient."""
     key = tuple((int(n), int(m)) for n, m in key)
@@ -228,8 +245,7 @@ class SparsePoly:
     __slots__ = ("dof_count", "_terms", "_den")
 
     def __init__(self, dof_count, terms=None):
-        if not isinstance(dof_count, int) or dof_count < 1:
-            raise ValueError("dof_count must be a positive integer")
+        _checked_dof_count(dof_count)
         rows = []
         if terms:
             for key, coeff in terms.items():
@@ -254,7 +270,7 @@ class SparsePoly:
 
     @classmethod
     def zero(cls, dof_count=1):
-        return cls._raw(dof_count, {}, 1)
+        return cls._raw(_checked_dof_count(dof_count), {}, 1)
 
     @classmethod
     def constant(cls, value, dof_count=1):
@@ -276,8 +292,7 @@ class SparsePoly:
     @classmethod
     def monomial(cls, exponents, coeff=1):
         key, coeff = _checked(exponents, coeff)
-        if not key:
-            raise ValueError("dof_count must be a positive integer")
+        _checked_dof_count(len(key))
         return cls._placed(key, coeff)
 
     @classmethod
@@ -579,10 +594,7 @@ class Scalar(SparsePoly):
         if terms:
             for key, coeff in terms.items():
                 k, j = key
-                if not isinstance(k, int) or not isinstance(j, int):
-                    raise TypeError("Scalar exponents must be integers")
-                if j < 0:
-                    raise ValueError("negative powers of s are not part of the ring")
+                _checked_exponents(k, j)
                 coeff = _coerce_gaussian(coeff)
                 if coeff is None:
                     raise TypeError("Scalar coefficients must be Gaussian rationals")
@@ -611,7 +623,7 @@ class Scalar(SparsePoly):
         coeff = _coerce_gaussian(coeff)
         if coeff is None:
             raise TypeError("Scalar coefficients must be Gaussian rationals")
-        return _scalar(coeff, hbar_exp, s_exp)
+        return _scalar(coeff, *_checked_exponents(hbar_exp, s_exp))
 
     def items(self):
         """((hbar_exp, s_exp), GaussianRational) pairs."""

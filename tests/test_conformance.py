@@ -1,11 +1,12 @@
 """The anchored self-check registry behind the check subcommand."""
 
 import hashlib
+import inspect
 import json
 
 import pytest
 
-from weylforge import cli, conformance, render
+from weylforge import OpPoly, cli, conformance, render
 from weylforge.conformance import SUITES, run_suite
 
 from helpers import GOLDEN_ALL_42
@@ -133,22 +134,60 @@ class TestRenderedReport:
         assert blob["kind"] == "conformance_report"
 
 
+def run_with_first(monkeypatch, id, runner):
+    """run_suite("weyl", 1) with runner registered ahead of every check.
+
+    A caller comparing against the unpatched rows reads them first: the
+    shared reports fixture runs a suite it has not cached yet under
+    whatever registry is in place.
+    """
+    registry = list(conformance._REGISTRY)
+    registry.insert(0, conformance._Check(id, "3", "weyl", "inserted", {}, runner))
+    monkeypatch.setattr(conformance, "_REGISTRY", registry)
+    return run_suite("weyl", 1)
+
+
 class TestIsolation:
     def test_raising_check_fails_its_row_only(self, reports, monkeypatch):
         def broken(rng):
             raise ZeroDivisionError("boom")
 
-        registry = list(conformance._REGISTRY)
-        registry.insert(
-            0, conformance._Check("broken", "3", "weyl", "raises", {}, broken)
-        )
-        monkeypatch.setattr(conformance, "_REGISTRY", registry)
-        report = run_suite("weyl", 1)
+        unpatched = reports("weyl", 1)["checks"]
+        report = run_with_first(monkeypatch, "broken", broken)
         first, *rest = report["checks"]
         assert first["id"] == "broken"
         assert first["status"] == "fail"
         assert first["witness"] == "ZeroDivisionError: boom"
         # The checks after it still run, and draw what they drew before.
-        assert rest == reports("weyl", 1)["checks"]
+        assert rest == unpatched
         assert report["failed"] == 1
         assert report["passed"] == len(rest)
+
+    def test_first_mismatch_is_the_witness(self, reports, monkeypatch):
+        qh, ph = OpPoly.generator("q"), OpPoly.generator("p")
+
+        def mismatched(rng):
+            yield "first", qh, qh
+            yield "second", qh, ph
+            # Never resumed: a draw here would shift every later row.
+            yield "third", rng.random(), None
+
+        unpatched = reports("weyl", 1)["checks"]
+        report = run_with_first(monkeypatch, "mismatched", mismatched)
+        first, *rest = report["checks"]
+        assert first["status"] == "fail"
+        assert first["witness"] == "second: qh versus ph"
+        assert rest == unpatched
+
+    def test_a_check_must_compare_something(self, monkeypatch):
+        def silent(rng):
+            return
+            yield
+
+        first = run_with_first(monkeypatch, "silent", silent)["checks"][0]
+        assert first["status"] == "fail"
+        assert first["witness"] == "no comparison made"
+
+    def test_every_runner_is_a_generator(self):
+        runners = [check.runner for check in conformance._REGISTRY]
+        assert all(inspect.isgeneratorfunction(runner) for runner in runners)

@@ -180,6 +180,27 @@ def test_scalar_has_no_dofs():
         HBAR.derivative("q")
 
 
+@pytest.mark.parametrize(
+    "k,j,error", [(0, -1, ValueError), (0.5, 0, TypeError), ("a", 0, TypeError)]
+)
+def test_scalar_term_checks_exponents_like_the_dict(k, j, error):
+    """s^-1, hbar^0.5 and hbar^a are refused by both constructors, so no
+    value reaches a power with a negative or non-int exponent."""
+    with pytest.raises(error):
+        Scalar({(k, j): 1})
+    with pytest.raises(error):
+        Scalar.term(k, j)
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+@pytest.mark.parametrize("dof_count", [0, -2, "3"])
+def test_zero_checks_dof_count_like_the_constructor(cls, dof_count):
+    with pytest.raises(ValueError):
+        cls(dof_count)
+    with pytest.raises(ValueError):
+        cls.zero(dof_count)
+
+
 def test_only_the_core_modules_see_the_storage():
     """The stored form (_terms, _den, _raw) and GaussianRational's integer
     triple (_a, _b, _d) are read in polynomial.py and scalars.py alone."""
