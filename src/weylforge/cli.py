@@ -27,6 +27,7 @@ from .expressions import (
 )
 from .operators import t_monomial
 from .phase import PhasePoly
+from .polynomial import _checked_dof_count
 from .render import render
 
 __all__ = ["UsageError", "run_command", "main"]
@@ -133,13 +134,8 @@ def _seed(args):
         ) from None
 
 
-def _require_positive_dof(args):
-    if args.dof < 1:
-        raise UsageError("--dof must be at least 1")
-
-
 def _dispatch(args):
-    _require_positive_dof(args)
+    _checked_dof_count(args.dof)
     s_value = _parse_s_value(args.s_value) if args.s_value is not None else None
 
     if args.command == "eval":

@@ -9,10 +9,11 @@ the closed reordering identity
     ph^m qh^n = sum_k k! C(m,k) C(n,k) (-i*hbar)^k  qh^(n-k) ph^(m-k),
 
 min(m, n) + 1 terms, through which every product, adjoint and word is
-brought to normal form.  The kernel weights k! C(m,k) C(n,k) are ints;
-the products sum them per power of (-i*hbar) and apply each power once
-(see polynomial._kernel_terms).  Coefficients are exact (see
-polynomial.Scalar).
+brought to normal form.  That is the slice of the one pairing kernel
+(polynomial._dof_kernel) without crossed pairings: its int weights
+k! C(m,k) C(n,k) are summed per power of (-i*hbar), and each power is
+applied once (see polynomial._kernel_terms).  Coefficients are exact
+(see polynomial.Scalar).
 
 The module also provides the one-parameter family of ordered monomials
 interpolating between the standard (all positions left), antistandard,
@@ -54,33 +55,6 @@ _MINUS_I_POWERS = (
 )
 
 
-def _dof_pair(n1, m1, n2, m2):
-    """Kernel of (qh^n1 ph^m1)(qh^n2 ph^m2) within one dof.
-
-    The inner ph^m1 qh^n2 is reordered by the closed form, so the
-    product has min(m1, n2) + 1 terms:
-        sum_k k! C(m1,k) C(n2,k) (-i*hbar)^k  qh^(n1+n2-k) ph^(m1+m2-k).
-    Returns a tuple of (block, k, weight) with the int
-    weight = k! C(m1,k) C(n2,k); the coefficient of block is
-    weight * (-i*hbar)^k (see _reorder_power).
-    """
-    return tuple(
-        (
-            (n1 + n2 - k, m1 + m2 - k),
-            k,
-            math.factorial(k) * math.comb(m1, k) * math.comb(n2, k),
-        )
-        for k in range(min(m1, n2) + 1)
-    )
-
-
-def _reversed(n, m, _k, _l):
-    """Kernel of the reversed block ph^m qh^n pushed to normal order, for
-    one-operand passes, whose right operand is the unit (see _t_pass and
-    dagger)."""
-    return _dof_pair(0, m, n, 0)
-
-
 def _reorder_power(k):
     """(-i*hbar)^k, the class power of the reordering kernel."""
     return Scalar.term(k, 0, _MINUS_I_POWERS[k % 4])
@@ -101,17 +75,16 @@ class OpPoly(SparsePoly):
         return cls.constant(ONE, dof_count)
 
     def _product(self, other):
-        return _kernel_terms(OpPoly, self, other, _dof_pair, _reorder_power)
+        return _kernel_terms(OpPoly, self, other, _reorder_power, crossed=False)
 
     def dagger(self, s_rule="fix_s"):
         """Adjoint: reverse every word, conjugate coefficients, renormalize.
 
         The generators are self-adjoint, so per dof the reversed block is
-        ph^m qh^n, which is pushed back to normal order.
+        ph^m qh^n, which the one-operand kernel pass pushes back to
+        normal order.
         """
-        return _kernel_terms(
-            OpPoly, self._conjugate(s_rule), None, _reversed, _reorder_power
-        )
+        return _kernel_terms(OpPoly, self._conjugate(s_rule), None, _reorder_power)
 
 
 class OpWord:
@@ -144,8 +117,8 @@ def normalize(word, coeff=ONE):
 
     An iterative left fold over the maximal runs of one repeated letter:
     each run qh_i^r or ph_i^r multiplies the normal form so far from the
-    right, and every product is closed form (see _dof_pair).  For a single
-    letter that is the rule
+    right, and every product is closed form (see OpPoly._product).  For a
+    single letter that is the rule
         qh^a ph^b * qh = qh^(a+1) ph^b - i*hbar*b qh^a ph^(b-1),
         qh^a ph^b * ph = qh^a ph^(b+1),
     while letters of distinct degrees of freedom commute.
@@ -206,15 +179,16 @@ def _t_pass(cls, poly, class_power):
         sum_j C(n,j) C(n-j,k) (1+s)^j (1-s)^(n-j) = 2^(n-k) C(n,k) (1-s)^k,
     to min(n, m) + 1 terms:
         t(n, m) = sum_k k! C(n,k) C(m,k) ((1-s)/2)^k (-i*hbar)^k  qh^(n-k) ph^(m-k).
-    That is the reordering kernel of ph^m qh^n (_reversed) with
-    (-i*hbar)^k replaced by _t_power(k), so with class_power _t_power
-    the pass sums coeff * t(key) in normal order, and with
+    That is the reordering kernel of ph^m qh^n (the one-operand kernel
+    pass reverses each block) with (-i*hbar)^k replaced by _t_power(k),
+    so with class_power _t_power the pass sums coeff * t(key) in normal
+    order, and with
     _t_inverse_power it expands in the ordered basis (see to_t_basis).
     Returns a cls over the dofs of poly.  A term of total degree above
     MAX_T_DEGREE raises ValueError before any work.
     """
     _check_t_degree(poly.total_degree() or 0)
-    return _kernel_terms(cls, poly, None, _reversed, class_power)
+    return _kernel_terms(cls, poly, None, class_power)
 
 
 def t_monomial(n, m):
@@ -248,6 +222,8 @@ def to_t_basis(operator):
         qh^n ph^m = sum_k k! C(n,k) C(m,k) (-c)^k  t(n-k, m-k):
     the kernel of t_monomial with (-1)^k on its class power, taken in one
     pass over the operator.  An operator of total degree above
-    MAX_T_DEGREE raises ValueError.
+    MAX_T_DEGREE raises ValueError, and any other operand TypeError.
     """
+    if not isinstance(operator, OpPoly):
+        raise TypeError("to_t_basis takes an OpPoly")
     return dict(_t_pass(OpPoly, operator, _t_inverse_power).items())

@@ -1,10 +1,12 @@
 """Commutative phase-space polynomials and their two bracket structures.
 
 PhasePoly is the plain polynomial algebra in q_i, p_i over exact
-coefficients.  On top of it live the Poisson bracket and the deformed
-bracket built from the star product, whose bidifferential kernel pairs
-momentum-derivatives on the left with position-derivatives on the right
-at weight (i*hbar/2)(1-s) and the crossed pairing at -(i*hbar/2)(1+s).
+coefficients.  On top of it live the star product, the deformed bracket
+and the Poisson bracket, each one pass over a slice of the one pairing
+kernel (polynomial._dof_kernel).  That kernel pairs momentum-derivatives
+on the left with position-derivatives on the right, at weight
+(i*hbar/2)(1-s) in the star product, and the crossed pairing at
+-(i*hbar/2)(1+s); the Poisson bracket keeps one pairing of either kind.
 
 Sign convention, fixed once here and leaned on everywhere else:
 
@@ -26,6 +28,7 @@ from .polynomial import (
     S,
     NEG_I_OVER_HBAR,
     SparsePoly,
+    _PAIRINGS,
     _kernel_terms,
 )
 
@@ -42,10 +45,6 @@ __all__ = [
 # Kernel weights of the star product's two directed pairings.
 _STAR_A = I * HBAR * Fraction(1, 2) * (ONE - S)
 _STAR_B = -(I * HBAR * Fraction(1, 2)) * (ONE + S)
-
-# A kernel class (a, b) travels as the int a + b*_PAIRINGS, so the
-# classes of several dofs add as ints; no count of pairings comes near it.
-_PAIRINGS = 1 << 32
 
 # hbar(1+s)/2 and hbar(1-s)/2, the only ordering-dependent factors of the
 # closed-form deformed structure constants.
@@ -70,36 +69,28 @@ class PhasePoly(SparsePoly):
         return self._convolved(other)
 
 
-def poisson_bracket(f, g):
-    """sum_i d_p f d_q g - d_q f d_p g, so that {q, p} comes out -1."""
+def _paired(f, g, class_power, most=None):
+    """One kernel pass of f against g, both PhasePolys over one dof count."""
+    if not (isinstance(f, PhasePoly) and isinstance(g, PhasePoly)):
+        raise TypeError("the star product and the brackets take PhasePoly operands")
     f._check_dof(g)
-    out = PhasePoly.zero(f.dof_count)
-    for i in range(f.dof_count):
-        out = out + f.derivative("p", i) * g.derivative("q", i)
-        out = out - f.derivative("q", i) * g.derivative("p", i)
-    return out
+    return _kernel_terms(PhasePoly, f, g, class_power, most=most)
 
 
-def _star_single(n, m, k, l):
-    """One-dof star kernel of q^n p^m against q^k p^l.
+def _poisson_power(pairings):
+    """+1 for one direct pairing in total, -1 for one crossed pairing, and
+    zero for every other class."""
+    if pairings == 1:
+        return ONE
+    if pairings == _PAIRINGS:
+        return -ONE
+    return ZERO
 
-    Expands the terminating exponential of the bidifferential kernel:
-    a counts left-p against right-q pairings (weight A = _STAR_A), b
-    counts left-q against right-p pairings (weight B = _STAR_B).  The
-    falling factorials of the repeated derivatives over a! b! leave the
-    int weight C(m,a) perm(k,a) C(n,b) perm(l,b), so the term is
-        C(m,a) perm(k,a) C(n,b) perm(l,b) A^a B^b  q^(n+k-a-b) p^(m+l-a-b).
-    Returns a tuple of (block, a + b*_PAIRINGS, weight).
-    """
-    return tuple(
-        (
-            (n + k - a - b, m + l - a - b),
-            a + b * _PAIRINGS,
-            math.comb(m, a) * math.perm(k, a) * math.comb(n, b) * math.perm(l, b),
-        )
-        for a in range(min(m, k) + 1)
-        for b in range(min(n, l) + 1)
-    )
+
+def poisson_bracket(f, g):
+    """sum_i d_p f d_q g - d_q f d_p g, so that {q, p} comes out -1: the
+    kernel pass that keeps the classes of exactly one pairing."""
+    return _paired(f, g, _poisson_power, most=1)
 
 
 def _star_power(pairings):
@@ -114,11 +105,6 @@ def _moyal_power(pairings):
     return _star_power(pairings) - _star_power(b + a * _PAIRINGS)
 
 
-def _star_terms(f, g, class_power):
-    f._check_dof(g)
-    return _kernel_terms(PhasePoly, f, g, _star_single, class_power)
-
-
 def star_product(f, g):
     """Deformed product; associative, with 1 as two-sided identity.
 
@@ -126,7 +112,7 @@ def star_product(f, g):
     only with itself); the per-dof weights multiply and the pairing
     counts add.
     """
-    return _star_terms(f, g, _star_power)
+    return _paired(f, g, _star_power)
 
 
 def moyal_bracket(f, g):
@@ -141,7 +127,7 @@ def moyal_bracket(f, g):
     Always divisible by hbar; dividing by i*hbar and letting hbar go to
     zero recovers the Poisson bracket (see classical_limit_bracket).
     """
-    return _star_terms(f, g, _moyal_power)
+    return _paired(f, g, _moyal_power)
 
 
 def winf_pb_structure(n, m, k, l):

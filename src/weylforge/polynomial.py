@@ -40,15 +40,17 @@ adjoint) and the rest, the derivative too, lives here.  Values of different
 subclasses never mix: they compare unequal and refuse to add or
 multiply.  A Scalar mixes with every class, as a multiple of its unit.
 
-The operator product, the adjoint, the ordered monomials and their
-inverse, the star product and the Moyal bracket all factor per dof into
-kernels with integer weights, and all run through the one loop
-_kernel_terms, in ints only.
+Every product and bracket pairs left with right derivatives per dof, so
+each is a slice of one integer-weighted kernel, _dof_kernel: the star
+product and the Moyal bracket take every pairing, the operator product
+(and, one-sided, the adjoint and the ordered basis both ways) no crossed
+pairing, and the Poisson bracket at most one.  All of them run through
+the one loop _kernel_terms, in ints only.
 """
 
 import functools
 from itertools import chain
-from math import gcd, lcm
+from math import comb, gcd, lcm, perm
 
 from .scalars import (
     GaussianRational,
@@ -60,6 +62,15 @@ from .scalars import (
 )
 
 _CONJ_RULES = ("fix_s", "negate_s")
+
+# Largest dof count a polynomial takes.  Every constructor checks it, so
+# a count from outside (the CLI's --dof, a variable index) stops here
+# before anything of that size is built.
+MAX_DOF_COUNT = 64
+
+# A kernel class (a, b) travels as the int a + b*_PAIRINGS, so the
+# classes of several dofs add as ints; no count of pairings comes near it.
+_PAIRINGS = 1 << 32
 
 
 def _table(scalar):
@@ -124,9 +135,11 @@ def _summed(rows):
 
 
 def _checked_dof_count(dof_count):
-    """dof_count itself, once checked to be a positive int."""
-    if not isinstance(dof_count, int) or dof_count < 1:
-        raise ValueError("dof_count must be a positive integer")
+    """dof_count itself, once checked to be an int from 1 to MAX_DOF_COUNT."""
+    if not isinstance(dof_count, int) or not 1 <= dof_count <= MAX_DOF_COUNT:
+        raise ValueError(
+            f"dof count {dof_count!r} is not an integer from 1 to {MAX_DOF_COUNT}"
+        )
     return dof_count
 
 
@@ -160,29 +173,52 @@ def _by_monomial(poly):
 
 
 @functools.cache
-def _dof_kernel(kernel, n, m, k, l):
-    """kernel(n, m, k, l) with every block wrapped as a one-dof key."""
-    return tuple(((block,), c, w) for block, c, w in kernel(n, m, k, l))
+def _dof_kernel(n, m, k, l, crossed, most):
+    """The one pairing kernel: q^n p^m against q^k p^l within one dof.
+
+    Expands the terminating exponential of the bidifferential kernel: a
+    counts left-p against right-q pairings, b counts left-q against
+    right-p (crossed) pairings.  The falling factorials of the repeated
+    derivatives over a! b! leave the int weight
+        C(m,a) perm(k,a) C(n,b) perm(l,b)  at  q^(n+k-a-b) p^(m+l-a-b).
+    A slice keeps fewer pairings: crossed=False only b = 0, and a most
+    other than None bounds a + b.  Returns a tuple of
+    ((block,), a + b*_PAIRINGS, weight), the block as a one-dof key.
+    """
+    return tuple(
+        (
+            ((n + k - a - b, m + l - a - b),),
+            a + b * _PAIRINGS,
+            comb(m, a) * perm(k, a) * comb(n, b) * perm(l, b),
+        )
+        for a in range(min(m, k) + 1)
+        for b in range((min(n, l) if crossed else 0) + 1)
+        if most is None or a + b <= most
+    )
 
 
-def _kernel_terms(cls, left, right, kernel, class_power):
-    """Sum over term pairs of products of integer-weighted per-dof kernels.
+def _kernel_terms(cls, left, right, class_power, crossed=True, most=None):
+    """Sum over term pairs of products of per-dof pairing kernels.
 
-    kernel(n, m, k, l) gives the kernel of the block (n, m) of left
-    against the block (k, l) of right: a sequence of (block, c, weight)
-    with int class c and weight.  Picking one entry per dof gives the
-    term
-        c1 * c2 * prod(weight) * class_power(sum(c))
+    Per dof, the block (n, m) of left meets the block (k, l) of right
+    through the slice of _dof_kernel that crossed and most select; most
+    bounds the pairings over all dofs too, so a partial product with more
+    drops out as soon as it forms (else the at-most-one slice would
+    enumerate 3^dof products per term pair).  Picking one kernel entry
+    per dof gives the term
+        c1 * c2 * prod(weight) * class_power(sum(class))
     at the concatenated blocks, where class_power returns a Scalar.  A
-    right of None stands for the unit, for one-operand passes.  In ints
-    only: per term pair, the numerators of c1 * c2 are formed entry by
-    entry, and weight times numerator is summed per (key, class, hbar,
-    s).  Each class power then meets its totals once, as a cached
-    (hbar shift, s power, u, v) table over its own denominator, and one
-    gcd pass ends the result.  Returns a cls over the dofs of left.
+    right of None stands for the unit, for one-operand passes: each block
+    (n, m) of left then stands reversed, p^m q^n, its momenta paired
+    with its own positions.  In ints only: per term pair, the numerators
+    of c1 * c2 are formed entry by entry, and weight times numerator is
+    summed per (key, class, hbar, s).  Each class power then meets its
+    totals once, as a cached (hbar shift, s power, u, v) table over its
+    own denominator, and one gcd pass ends the result.  Returns a cls
+    over the dofs of left.
     """
     if right is None:
-        rights = [(((0, 0),) * left.dof_count, None)]
+        rights = [(None, None)]
         den = left._den
     else:
         rights = _by_monomial(right).items()
@@ -195,15 +231,24 @@ def _kernel_terms(cls, left, right, kernel, class_power):
                 for k1, j1, a1, b1 in coeffs1
                 for k2, j2, a2, b2 in coeffs2
             ]
-            blocks = zip(key1, key2)
+            if key2 is None:
+                blocks = iter([((0, m), (n, 0)) for n, m in key1])
+            else:
+                blocks = zip(key1, key2)
             (n, m), (k, l) = next(blocks)
-            partial = _dof_kernel(kernel, n, m, k, l)
+            partial = _dof_kernel(n, m, k, l, crossed, most)
             for (n, m), (k, l) in blocks:
+                kernel = _dof_kernel(n, m, k, l, crossed, most)
                 partial = [
                     (key + block, c0 + c, w0 * w)
                     for key, c0, w0 in partial
-                    for block, c, w in _dof_kernel(kernel, n, m, k, l)
+                    for block, c, w in kernel
                 ]
+                if most is not None:
+                    partial = [
+                        entry for entry in partial
+                        if sum(divmod(entry[1], _PAIRINGS)) <= most
+                    ]
             for k, j, a, b in product:
                 for key, c, w in partial:
                     slot = (key, c, k, j)
@@ -274,14 +319,14 @@ class SparsePoly:
 
     @classmethod
     def constant(cls, value, dof_count=1):
-        return cls.monomial(((0, 0),) * dof_count, value)
+        return cls.monomial(((0, 0),) * _checked_dof_count(dof_count), value)
 
     @classmethod
     def generator(cls, kind, dof_index=0, dof_count=1):
         """Position or momentum generator of one dof: kind is 'q' or 'p'."""
         if kind not in ("q", "p"):
             raise ValueError(f"kind must be 'q' or 'p', got {kind!r}")
-        if not 0 <= dof_index < dof_count:
+        if not 0 <= dof_index < _checked_dof_count(dof_count):
             raise IndexError("dof_index out of range")
         block = (1, 0) if kind == "q" else (0, 1)
         key = tuple(

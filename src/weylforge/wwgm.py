@@ -32,16 +32,22 @@ def ms(f):
 
     Coefficients pass through unchanged.  The image is taken in one
     kernel pass over f (operators._t_pass), the mirror of to_t_basis.
-    A term of total degree above MAX_T_DEGREE raises ValueError.
+    A term of total degree above MAX_T_DEGREE raises ValueError, and an
+    operand other than a PhasePoly TypeError.
     """
+    if not isinstance(f, PhasePoly):
+        raise TypeError("ms takes a PhasePoly")
     return _t_pass(OpPoly, f, _t_power)
 
 
 def ms_inverse(F):
     """Inverse map: expand in ordered monomials, return the exponents.
 
-    Exact two-sided inverse of ms on polynomials.
+    Exact two-sided inverse of ms on polynomials.  An operand other than
+    an OpPoly raises TypeError.
     """
+    if not isinstance(F, OpPoly):
+        raise TypeError("ms_inverse takes an OpPoly")
     return _t_pass(PhasePoly, F, _t_inverse_power)
 
 

@@ -8,14 +8,15 @@ closed reordering identity), so agreement across many draws is evidence
 the normal form is unique.  GOLDEN_ALL_42 pins the bytes of one full
 conformance report.  The *_by_definition helpers spell out a paper
 definition the library takes in closed form, from the library's
-reference paths, for the tests to hold the closed form against.
+reference paths or its formal derivatives, for the tests to hold the
+closed form against.
 """
 
 import math
 import random
 from fractions import Fraction
 
-from weylforge import GaussianRational, OpPoly, Scalar, ms_inverse
+from weylforge import GaussianRational, OpPoly, PhasePoly, Scalar, ms_inverse
 from weylforge.superops import _liouvillian_by_definition
 
 MINUS_I_HBAR = Scalar.term(1, 0, GaussianRational(0, -1))
@@ -122,6 +123,15 @@ def diamond_by_definition(F, G):
     """diamond(F, G) as the paper defines it: the Liouvillian of the
     pullback of G, summed from ordering superoperators, applied to F."""
     return _liouvillian_by_definition(ms_inverse(G), F)
+
+
+def poisson_bracket_by_definition(f, g):
+    """sum_i d_p f d_q g - d_q f d_p g, from the formal derivatives."""
+    out = PhasePoly.zero(f.dof_count)
+    for i in range(f.dof_count):
+        out = out + f.derivative("p", i) * g.derivative("q", i)
+        out = out - f.derivative("q", i) * g.derivative("p", i)
+    return out
 
 
 def random_letters(rng, length, dof_count=1):

@@ -3,6 +3,7 @@ around them."""
 
 import json
 import random
+import time
 
 import pytest
 
@@ -296,6 +297,24 @@ class TestCli:
         code, out = run_command(["eval", "q2*p2"])
         assert code == 0
         assert out == "q2*p2"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "q", "--dof", "100000000"],
+            ["eval", "q100000000"],
+            ["t", "1", "1", "--dof", "100000000"],
+            ["evolve", "--observable", "q", "--hamiltonian", "p^2/2",
+             "--order", "1", "--dof", "50000000"],
+            ["eval", "q", "--dof", "0"],
+        ],
+    )
+    def test_dof_count_is_bounded_before_any_work(self, argv):
+        start = time.perf_counter()
+        code, out = run_command(argv)
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert "from 1 to 64" in out
 
     def test_s_value_flag(self):
         code, out = run_command(["eval", "t(1,1)", "--s-value", "1"])

@@ -1,6 +1,6 @@
 """Property tests of the product kernels against their definitions.
 
-The products, the Moyal bracket, the adjoint and the two-sided
+The products, both brackets, the adjoint and the two-sided
 multiplication maps are computed from integer kernels in one pass; here
 each is held against the plain definition it shortcuts, on random
 multi-dof inputs whose coefficients carry hbar (inverse powers
@@ -25,11 +25,12 @@ from weylforge import (
     ms_inverse,
     normalize,
     pmb,
+    poisson_bracket,
     star_product,
     t_super_apply,
 )
 
-from helpers import oracle_normalize
+from helpers import oracle_normalize, poisson_bracket_by_definition
 from strategies import same_dof
 
 
@@ -46,6 +47,12 @@ class TestAgainstDefinitions:
     def test_moyal_is_the_star_commutator(self, pair):
         f, g = pair
         assert moyal_bracket(f, g) == star_product(f, g) - star_product(g, f)
+
+    @settings(max_examples=40)
+    @given(same_dof(PhasePoly, PhasePoly))
+    def test_poisson_bracket_is_the_derivative_sum(self, pair):
+        f, g = pair
+        assert poisson_bracket(f, g) == poisson_bracket_by_definition(f, g)
 
     @given(same_dof(OpPoly))
     def test_t_super_is_two_sided_multiplication(self, single):

@@ -1,6 +1,7 @@
 """Phase-space products and brackets on commuting variables."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,21 @@ class TestPoissonBracket:
         q2 = PhasePoly.generator("q", 1, dof_count=2)
         p1 = PhasePoly.generator("p", 0, dof_count=2)
         assert poisson_bracket(q2, p1).is_zero()
+
+    def test_many_dofs_stay_linear(self):
+        """One pairing in total: dof terms out of 2*dof pairings, with no
+        3^dof kernel products on the way."""
+        dofs = 12
+        f = PhasePoly.monomial([(1, 1)] * dofs)
+        g = PhasePoly.monomial([(2, 1)] * dofs)
+        start = time.perf_counter()
+        got = poisson_bracket(f, g)
+        assert time.perf_counter() - start < 0.5
+        want = PhasePoly.zero(dofs)
+        for i in range(dofs):
+            key = [(3, 2)] * i + [(2, 1)] + [(3, 2)] * (dofs - i - 1)
+            want = want + PhasePoly.monomial(key)
+        assert got == want
 
 
 class TestStarProduct:

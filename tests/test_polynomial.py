@@ -26,11 +26,16 @@ from weylforge import (
     OpPoly,
     PhasePoly,
     Scalar,
+    diamond,
     moyal_bracket,
     ms,
     ms_inverse,
+    pmb,
+    poisson_bracket,
     star_product,
+    to_t_basis,
 )
+from weylforge.polynomial import MAX_DOF_COUNT
 
 from strategies import same_dof, scalars
 
@@ -79,6 +84,29 @@ def test_dof_mismatch_rejected(cls):
     for combine in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
         with pytest.raises(ValueError):
             combine(one, two)
+
+
+_Q, _P = PhasePoly.generator("q"), PhasePoly.generator("p")
+_QH, _PH = OpPoly.generator("q"), OpPoly.generator("p")
+
+
+@pytest.mark.parametrize(
+    "call,operands",
+    [
+        (poisson_bracket, (_Q, _PH)),
+        (star_product, (_Q, _PH)),
+        (moyal_bracket, (_QH, _PH)),
+        (ms, (_QH,)),
+        (ms_inverse, (_Q,)),
+        (to_t_basis, (_Q,)),
+        (pmb, (_Q, _P)),
+        (diamond, (_Q, _P)),
+    ],
+)
+def test_kernel_passes_refuse_the_other_algebra(call, operands):
+    """Every kernel-backed map takes operands of its own algebra only."""
+    with pytest.raises(TypeError):
+        call(*operands)
 
 
 @pytest.mark.parametrize("cls", CLASSES)
@@ -193,12 +221,20 @@ def test_scalar_term_checks_exponents_like_the_dict(k, j, error):
 
 
 @pytest.mark.parametrize("cls", CLASSES)
-@pytest.mark.parametrize("dof_count", [0, -2, "3"])
+@pytest.mark.parametrize("dof_count", [0, -2, "3", MAX_DOF_COUNT + 1])
 def test_zero_checks_dof_count_like_the_constructor(cls, dof_count):
-    with pytest.raises(ValueError):
-        cls(dof_count)
-    with pytest.raises(ValueError):
-        cls.zero(dof_count)
+    """A zero, negative, non-int or too large dof count is one ValueError
+    from every constructor, the generators and constants included."""
+    for build in (
+        cls,
+        cls.zero,
+        lambda dofs: cls.generator("q", 0, dofs),
+        lambda dofs: cls.constant(1, dofs),
+    ):
+        with pytest.raises(ValueError, match=f"from 1 to {MAX_DOF_COUNT}"):
+            build(dof_count)
+    top = cls.generator("p", MAX_DOF_COUNT - 1, MAX_DOF_COUNT)
+    assert top.dof_count == MAX_DOF_COUNT
 
 
 def test_only_the_core_modules_see_the_storage():
